@@ -105,7 +105,7 @@ def cmd_walk(args) -> int:
     if method == "both":
         diffs = [float(abs(a - b)) for a, b in zip(closed.values, stepped.values)]
         print(f"max discrepancy: {max(diffs)!r}")
-        if not walk.verify_walk_equivalence(seq, args.k):
+        if not walk._walks_agree(closed, stepped):
             return _fail("closed-form and recursive walks disagree", EXIT_WALK_VERIFY)
     seqio.write_sequence(args.output, out)
     return EXIT_OK
@@ -152,12 +152,13 @@ def cmd_extract(args) -> int:
                 f"need >= 2*n_max + 1 = {2 * args.n_max + 1}"
             )
         grid = np.linspace(0.0, math.pi, len(samples))
-        model = series.SphericalModel(
-            "samples", lambda theta: float(np.interp(theta, grid, samples))
-        )
+        model = series.SphericalModel("samples", lambda theta: np.interp(theta, grid, samples))
         if args.dim == 1 and args.grid_size is None:
             # integrate on the sample grid itself; interpolation never kicks in
             args.grid_size = len(samples)
+        if args.dim == 2 or args.grid_size != len(samples):
+            print("note: the quadrature nodes are off the sample grid; samples are "
+                  "interpolated linearly", file=sys.stderr)
     if args.dim == 1:
         grid_size = args.grid_size
         if grid_size is None:
@@ -174,9 +175,9 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     seq = seqio.read_sequence(args.input)
-    values = [(t, series.evaluate_series(seq, t)) for t in args.theta]
+    psi = series.evaluate_series(seq, np.array(args.theta)).tolist()
     print("theta,psi")
-    for t, v in values:
+    for t, v in zip(args.theta, psi):
         print(f"{t!r},{v!r}")
     return EXIT_OK
 

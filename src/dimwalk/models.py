@@ -194,20 +194,20 @@ def get_model(name: str, **params) -> SphericalModel:
     ``hs`` accepts epsilon/c0/c/n_trunc parameters (its evaluator sums the
     truncated Legendre series; the family's slow tail makes exact evaluation
     impossible, so n_trunc bounds the truncation error). The other models
-    take no parameters. Unknown names raise KeyError.
+    take no parameters. Unknown names raise KeyError. Every evaluator takes a
+    float or an ndarray of angles.
     """
     if name == "one":
         if params:
             raise ValueError(f"model {name!r} takes no parameters")
+        # [()] turns the 0-d result for a float angle into a scalar
         return SphericalModel(
-            "one", lambda theta: 1.0, lambda n, d: 1.0 if n == 0 else 0.0
+            "one", lambda t: np.ones(np.shape(t))[()], lambda n, d: 1.0 if n == 0 else 0.0
         )
     if name == "cosine":
         if params:
             raise ValueError(f"model {name!r} takes no parameters")
-        return SphericalModel(
-            "cosine", math.cos, lambda n, d: 1.0 if n == 1 else 0.0
-        )
+        return SphericalModel("cosine", np.cos, lambda n, d: 1.0 if n == 1 else 0.0)
     if name == "example31":
         if params:
             raise ValueError(f"model {name!r} takes no parameters")

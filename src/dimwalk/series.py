@@ -12,6 +12,7 @@ independent row by row.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -50,13 +51,17 @@ class ResolutionError(ValueError):
 class SphericalModel:
     """An evaluable correlation function on [0, pi].
 
+    ``evaluator`` maps a float angle to a float and an ndarray of angles to an
+    array of the same shape. One that raises TypeError or ValueError on an
+    array, or returns the wrong shape, is called once per angle instead.
+
     ``coefficient_oracle(n, d)``, when present, returns the known expansion
     coefficient at index n for sphere dimension d, or None if no formula
     applies; it exists so extraction results can be checked independently.
     """
 
     name: str
-    evaluator: Callable[[float], float]
+    evaluator: Callable
     coefficient_oracle: Callable[[int, int], float | None] | None = None
 
 
@@ -80,9 +85,22 @@ class QuadratureRule:
     order: int
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+def _check_theta(theta) -> None:
+    t = np.asarray(theta, dtype=float)
+    ok = (t >= 0.0) & (t <= math.pi)
+    if not np.all(ok):
+        raise ValueError(f"theta must lie in [0, pi], got {float(t[~ok].flat[0])!r}")
+
+
+@lru_cache(maxsize=32)
+def _recurrence(d: int, n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """a_j = 2(j+lam)/(j+2 lam), c_j = -j/(j+2 lam) (lam = (d-1)/2) of the
+    normalized relation Q_{j+1} = a_j x Q_j + c_j Q_{j-1} with Q_0 = 1; a_0 = 1
+    and c_0 = 0 give Q_1 = x. Every Q_j stays in [-1, 1], so none overflows."""
+    lam = (d - 1) / 2
+    a = (1.0,) + tuple(2 * (j + lam) / (j + 2 * lam) for j in range(1, n_max + 1))
+    c = (0.0,) + tuple(-j / (j + 2 * lam) for j in range(1, n_max + 2))
+    return a, c
 
 
 def normalized_basis(d: int, n: int, theta: float) -> float:
@@ -90,8 +108,7 @@ def normalized_basis(d: int, n: int, theta: float) -> float:
 
     d = 1 gives cos(n theta), d = 2 the Legendre polynomial P_n(cos theta),
     and d >= 3 the ultraspherical polynomial of parameter (d-1)/2 divided by
-    its value at 1. The recurrence is run directly on the normalized values,
-    which keeps every iterate in [-1, 1] and cannot overflow for large n.
+    its value at 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -100,65 +117,80 @@ def normalized_basis(d: int, n: int, theta: float) -> float:
     _check_theta(theta)
     if d == 1:
         return math.cos(n * theta)
-    if n == 0:
-        return 1.0
-    x = math.cos(theta)
-    lam = (d - 1) / 2
-    q0, q1 = 1.0, x
-    for j in range(2, n + 1):
-        q0, q1 = q1, (2 * (j + lam - 1) * x * q1 - (j - 1) * q0) / (j + 2 * lam - 1)
-    return q1
+    return float(_basis_matrix(d, n, np.array([math.cos(theta)]))[n, 0])
+
+
+def _basis_rows(d: int, n_max: int, x: np.ndarray):
+    """Yield the normalized basis rows n = 0..n_max at x = cos(theta) points."""
+    a, c = _recurrence(d, n_max)
+    q0, q1 = np.zeros_like(x), np.ones_like(x)
+    for j in range(n_max + 1):
+        yield q1
+        q0, q1 = q1, a[j] * x * q1 + c[j] * q0
 
 
 def _basis_matrix(d: int, n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized basis rows n = 0..n_max at x = cos(theta) points (d >= 1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1, x.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    lam = (d - 1) / 2
-    for j in range(2, n_max + 1):
-        out[j] = (2 * (j + lam - 1) * x * out[j - 1] - (j - 1) * out[j - 2]) / (
-            j + 2 * lam - 1
-        )
-    return out
+    return np.array(list(_basis_rows(d, n_max, np.asarray(x, dtype=float))))
 
 
-def evaluate_series(seq: CoeffSeq, theta: float) -> float:
-    """Evaluate sum_n b_n * basis_n(theta) at one angle.
-
-    theta = 0 short-circuits to the coefficient sum (computed exactly for
-    exact sequences). Dimension 1 sums cosines directly; dimensions >= 2 use
-    a Clenshaw backward recurrence on the normalized three-term relation
-
-        Q_{j+1} = 2(j+lam)/(j+2 lam) x Q_j - j/(j+2 lam) Q_{j-1}.
+def _clenshaw(d: int, b, theta, total: Callable[[], float]):
+    """sum_n b_n Q_n(cos theta) for a float or an array theta, with total()
+    at theta = 0. The backward recurrence y_j = b_j + a_j x y_{j+1} + c_{j+1}
+    y_{j+2} runs over plain floats, so one loop serves a float and an array x.
     """
     _check_theta(theta)
-    if theta == 0.0:
-        return float(seq.total())
-    b = seq.values if seq.kind != EXACT else tuple(float(v) for v in seq.values)
-    if seq.dimension == 1:
-        return math.fsum(b[n] * math.cos(n * theta) for n in range(len(b)))
-    x = math.cos(theta)
-    lam = (seq.dimension - 1) / 2
+    scalar = np.ndim(theta) == 0
+    if scalar and theta == 0.0:
+        return float(total())
+    x = math.cos(theta) if scalar else np.cos(np.asarray(theta, dtype=float))
+    n_max = len(b) - 1
+    a, c = _recurrence(d, n_max)
     y1 = y2 = 0.0
-    for j in range(seq.n_max, 0, -1):
-        a_j = 2 * (j + lam) / (j + 2 * lam)
-        b_j1 = -(j + 1) / (j + 1 + 2 * lam)
-        y1, y2 = b[j] + a_j * x * y1 + b_j1 * y2, y1
-    return b[0] + x * y1 - y2 / (1 + 2 * lam)
+    for j in range(n_max, -1, -1):
+        y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
+    at_zero = np.asarray(theta) == 0.0
+    return np.where(at_zero, float(total()), y1) if at_zero.any() else y1
+
+
+def evaluate_series(seq: CoeffSeq, theta):
+    """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
+
+    A float theta gives a float, an ndarray an array of the same shape; every
+    angle must lie in [0, pi]. theta = 0 gives the coefficient sum (exact for
+    exact sequences). Every dimension uses one Clenshaw recurrence in cos(theta).
+    """
+    return _clenshaw(seq.dimension, seq.to_floats().values, theta, seq.total)
 
 
 def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
-    """Wrap a coefficient sequence as an evaluable model (truncated series)."""
+    """Wrap a coefficient sequence as an evaluable model (truncated series).
+
+    Exact values become floats once, here; psi(0) stays the exact total.
+    """
+    b = seq.to_floats().values
+    total = float(seq.total())
 
     def oracle(n: int, d: int) -> float | None:
         if d == seq.dimension and 0 <= n <= seq.n_max:
-            return float(seq.values[n])
+            return b[n]
         return None
 
-    return SphericalModel(name, lambda theta: evaluate_series(seq, theta), oracle)
+    return SphericalModel(
+        name, lambda theta: _clenshaw(seq.dimension, b, theta, lambda: total), oracle
+    )
+
+
+def _evaluate(model: SphericalModel, theta: np.ndarray) -> np.ndarray:
+    """psi at an array of angles in one evaluator call, or per angle for an
+    evaluator that only takes floats."""
+    try:
+        psi = np.asarray(model.evaluator(theta), dtype=float)
+        if psi.shape == theta.shape:
+            return psi
+    except (TypeError, ValueError):  # e.g. math.cos, or `if theta < 1` on an array
+        pass
+    return np.array([float(model.evaluator(float(t))) for t in theta])
 
 
 def extract_fourier(model: SphericalModel, n_max: int, grid_size: int) -> CoeffSeq:
@@ -167,36 +199,27 @@ def extract_fourier(model: SphericalModel, n_max: int, grid_size: int) -> CoeffS
     Uses the uniform closed grid theta_j = j pi/(grid_size-1), on which the
     half-weighted endpoint sum realizes discrete cosine orthogonality: the
     result is exact to roundoff whenever the model is a cosine polynomial of
-    degree at most grid_size - 1 - n_max.
+    degree at most grid_size - 1 - n_max. The sum is a DCT-I, computed as
+    the real FFT of the samples' even extension in O(grid_size) memory.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if grid_size < 2 * n_max + 1:
+    need = max(2, 2 * n_max + 1)
+    if grid_size < need:
         raise ResolutionError(
-            f"grid_size must be >= 2*n_max + 1 = {2 * n_max + 1}, got {grid_size}"
+            f"grid_size must be >= max(2, 2*n_max + 1) = {need}, got {grid_size}"
         )
-    theta = np.linspace(0.0, math.pi, grid_size)
-    psi = np.array([float(model.evaluator(t)) for t in theta])
-    w = np.full(grid_size, math.pi / (grid_size - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weighted = w * psi
-    n = np.arange(n_max + 1)
-    coeffs = (2.0 / math.pi) * (np.cos(np.outer(n, theta)) @ weighted)
+    psi = _evaluate(model, np.linspace(0.0, math.pi, grid_size))
+    even = np.concatenate([psi, psi[-2:0:-1]])
+    coeffs = np.fft.rfft(even)[: n_max + 1].real / (grid_size - 1)
     coeffs[0] *= 0.5
     return CoeffSeq.floats(1, coeffs.tolist())
 
 
 def _legendre_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_order(x) and its derivative via the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = np.array(x, dtype=float)
-    if order == 0:
-        return p0, np.zeros_like(x)
-    for j in range(2, order + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = order * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
+    """P_order(x) and its derivative (order >= 1)."""
+    p0, p1 = deque(_basis_rows(2, order, x), maxlen=2)
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=128)
@@ -242,7 +265,7 @@ def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
     if order < n_max + 1:
         raise ResolutionError(f"order must be >= n_max + 1 = {n_max + 1}, got {order}")
     rule = gauss_legendre_rule(order)
-    psi = np.array([float(model.evaluator(math.acos(x))) for x in rule.nodes])
+    psi = _evaluate(model, np.arccos(rule.nodes))
     basis = _basis_matrix(2, n_max, rule.nodes)
     integrals = basis @ (rule.weights * psi)
     coeffs = (np.arange(n_max + 1) + 0.5) * integrals
@@ -297,56 +320,25 @@ def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
     )
 
 
-def symmetric_eigenvalues(matrix, rel_tol: float = 1e-14, max_sweeps: int = 50) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
 
-    Each rotation annihilates one off-diagonal pair; sweeps repeat until the
-    off-diagonal Frobenius mass drops below rel_tol * ||A||_F. Chosen over
-    shifted power iteration because it stays accurate on clustered spectra,
-    which kernel Gram matrices produce routinely. Intended for the modest
-    sizes of spot checks (up to a few hundred).
+    The matrix must be square and symmetric to 1e-10 * ||A||_F; it is
+    symmetrized before the solve, and the zero matrix short-circuits.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
-        return np.zeros(n)
+        return np.zeros(a.shape[0])
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    skip = rel_tol * scale / (4.0 * n * n)
-    iu = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0) * float(np.linalg.norm(a[iu]))
-        if off <= rel_tol * scale:
-            return np.sort(np.diagonal(a).copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    raise RuntimeError("Jacobi sweeps did not converge")
+    return np.linalg.eigvalsh((a + a.T) / 2.0)
 
 
 def min_symmetric_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a symmetric matrix (Jacobi sweeps)."""
+    """Smallest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``)."""
     return float(symmetric_eigenvalues(matrix)[0])
 
 
@@ -381,8 +373,9 @@ def gram_psd_check(
     Draws point_count unit vectors from seeded Gaussians (PCG64 behind
     numpy's default generator), forms the kernel matrix
     psi(arccos <x_i, x_j>) with inner products clamped to [-1, 1] before the
-    arccos, and estimates the minimum eigenvalue by Jacobi sweeps. Passing
-    means min eigenvalue >= -1e-9 * point_count. A failure report carries the
+    arccos, and takes its minimum eigenvalue from LAPACK ``eigvalsh``. The
+    upper triangle comes from one evaluation of psi, the diagonal is psi(0).
+    Passing means min eigenvalue >= -1e-9 * point_count. A failure report carries the
     seed so the witness configuration can be replayed.
     """
     if dimension < 1:
@@ -392,11 +385,11 @@ def gram_psd_check(
     rng = np.random.default_rng(seed)
     pts = _sphere_points(dimension, point_count, rng)
     dots = np.clip(pts @ pts.T, -1.0, 1.0)
+    upper = np.triu_indices(point_count, 1)
     g = np.empty((point_count, point_count))
-    for i in range(point_count):
-        g[i, i] = float(model.evaluator(0.0))
-        for j in range(i + 1, point_count):
-            g[i, j] = g[j, i] = float(model.evaluator(math.acos(dots[i, j])))
+    g[upper] = _evaluate(model, np.arccos(dots[upper]))
+    g[upper[::-1]] = g[upper]
+    np.fill_diagonal(g, float(model.evaluator(0.0)))
     min_eig = min_symmetric_eigenvalue(g)
     return GramReport(
         point_count=point_count,

@@ -158,11 +158,14 @@ def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
     Exact sequences must match exactly; float sequences within relative
     1e-12 (absolute floor 1e-15 near zero).
     """
-    closed = walk_closed_form(seq, k)
     stepped = seq
     for _ in range(k):
         stepped = step_up(stepped)
-    if seq.kind == EXACT:
+    return _walks_agree(walk_closed_form(seq, k), stepped)
+
+
+def _walks_agree(closed: CoeffSeq, stepped: CoeffSeq) -> bool:
+    if closed.kind == EXACT:
         return closed.values == stepped.values
     return all(_close(a, b) for a, b in zip(closed.values, stepped.values))
 

@@ -10,9 +10,12 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
+from scipy.fft import dct
 
-from dimwalk import cli
+from dimwalk import cli, walk
 from dimwalk.seqio import read_sequence, write_sequence
 from dimwalk.walk import CoeffSeq
 
@@ -78,6 +81,20 @@ def test_walk_both_methods_agree(capsys, tmp_path):
     assert "max discrepancy: 0.0" in out
     walked = read_sequence(dst)
     assert walked.dimension == 3 and walked.values == (Q(2, 5),)
+
+
+def test_walk_both_walks_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    closed_form = walk.walk_closed_form
+    monkeypatch.setattr(walk, "walk_closed_form", lambda *a: calls.append(a) or closed_form(*a))
+    src = tmp_path / "in.json"
+    write_sequence(src, CoeffSeq.exact(1, [Q(1, 2), Q(3, 10), Q(1, 5), 0, 0]))
+    code, out, _ = run(
+        capsys, "walk", "--input", str(src), "--k", "2", "--method", "both",
+        "--output", str(tmp_path / "out.json"),
+    )
+    assert code == 0 and "max discrepancy: 0.0" in out
+    assert len(calls) == 1
 
 
 def test_walk_delta_probe_shortens(capsys, tmp_path):
@@ -201,6 +218,30 @@ def test_extract_small_grid_exit_4(capsys, tmp_path):
         "--order", "20", "--output", str(tmp_path / "x.json"),
     )
     assert code == 4
+    # a one-point grid has no spacing; 2*n_max + 1 = 1 alone would admit it
+    code, _, err = run(
+        capsys, "extract", "--model", "one", "--dim", "1", "--n-max", "0",
+        "--grid-size", "1", "--output", str(tmp_path / "x.json"),
+    )
+    assert code == 4 and "grid_size" in err
+
+
+def test_extract_hs_dimension_1(capsys, tmp_path):
+    dst = tmp_path / "out.json"
+    code, _, _ = run(
+        capsys, "extract", "--model", "hs", "--dim", "1", "--n-max", "200",
+        "--output", str(dst),
+    )
+    assert code == 0
+    seq = read_sequence(dst)
+    assert seq.dimension == 1 and seq.n_max == 200
+    # DCT-I of the 2000-term hs series on the default 4097-point grid
+    n = np.arange(1, 2001)
+    b = np.concatenate([[0.5], (2 * n + 1) / (2.0 * n**3)])
+    psi = legval(np.cos(np.linspace(0.0, math.pi, 4097)), b)
+    ref = dct(psi, type=1)[:10] / 4096
+    ref[0] *= 0.5
+    assert seq.values[:10] == pytest.approx(ref.tolist(), rel=0, abs=1e-12)
 
 
 def test_extract_from_samples(capsys, tmp_path):
@@ -217,6 +258,25 @@ def test_extract_from_samples(capsys, tmp_path):
     seq = read_sequence(dst)
     assert abs(seq.values[1] - 1.0) <= 1e-12
     assert abs(seq.values[3]) <= 1e-12
+
+
+def test_extract_samples_notes_interpolation(capsys, tmp_path):
+    grid = 41
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"values": [1.0] * grid}))
+    dst = tmp_path / "o.json"
+    base = ["extract", "--samples", str(samples), "--n-max", "5", "--output", str(dst)]
+    cases = [
+        (["--dim", "1"], False),
+        (["--dim", "1", "--grid-size", str(grid)], False),
+        (["--dim", "1", "--grid-size", "61"], True),
+        (["--dim", "2"], True),
+    ]
+    for extra, interpolates in cases:
+        code, _, err = run(capsys, *base, *extra)
+        assert code == 0
+        assert (err.count("note:") == 1) == interpolates, extra
+        assert read_sequence(dst).values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # -- eval ---------------------------------------------------------------------

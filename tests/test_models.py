@@ -201,6 +201,17 @@ def test_registry_names_and_psi_at_zero():
         assert model.evaluator(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_registry_evaluators_take_arrays():
+    thetas = np.linspace(0.0, math.pi, 7)
+    for name in MODEL_NAMES:
+        model = get_model(name)
+        got = model.evaluator(thetas)
+        assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+        want = [model.evaluator(float(t)) for t in thetas]
+        assert all(isinstance(v, float) for v in want)
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
 def test_registry_oracles():
     one = get_model("one")
     assert one.coefficient_oracle(0, 5) == 1.0

@@ -1,7 +1,7 @@
 """Series numerics: basis evaluation against scipy, Clenshaw vs direct
 summation, quadrature rules against textbook values and numpy, extraction
-round-trips, the walk/extraction commutation, membership evidence, the Jacobi
-eigenvalue contract, and Gram positive-definiteness spot checks.
+round-trips, the walk/extraction commutation, membership evidence, the
+eigenvalue wrapper's contract, and Gram positive-definiteness spot checks.
 """
 
 import math
@@ -32,7 +32,7 @@ from dimwalk.series import (
 )
 from dimwalk.walk import CoeffSeq, walk_closed_form
 
-from helpers import random_exact_normalized
+from helpers import random_exact_normalized, random_exact_signed
 from oracles import project_series
 
 
@@ -118,6 +118,27 @@ def test_evaluate_rejects_out_of_range_theta():
     seq = CoeffSeq.floats(2, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         evaluate_series(seq, 3.2)
+    for bad in (3.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match="theta must lie"):
+            evaluate_series(seq, np.array([0.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="theta must lie"):
+        evaluate_series(seq, math.nan)
+
+
+def test_evaluate_array_matches_scalar_calls():
+    rnd = random.Random(5)
+    thetas = np.array([[0.0, 0.4, 1.3], [2.2, 3.0, math.pi]])
+    for d in (1, 2, 3, 5):
+        exact = random_exact_signed(rnd, 30, dimension=d)
+        for seq in (exact, exact.to_floats()):
+            got = evaluate_series(seq, thetas)
+            assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+            want = [evaluate_series(seq, float(t)) for t in thetas.flat]
+            assert all(isinstance(v, float) for v in want)
+            # same arithmetic; only the cosine routine may differ by an ulp
+            scale = math.fsum(abs(float(v)) for v in seq.values)
+            assert got.ravel() == pytest.approx(want, rel=0, abs=1e-12 * scale)
+            assert got[0, 0] == want[0] == float(seq.total())
 
 
 # -- quadrature -----------------------------------------------------------
@@ -186,6 +207,31 @@ def test_extract_fourier_round_trip_inverse_square_family():
 def test_extract_fourier_rejects_small_grid():
     with pytest.raises(ResolutionError):
         extract_fourier(get_model("one"), 50, 11)
+    with pytest.raises(ResolutionError):
+        extract_fourier(get_model("one"), 0, 1)
+
+
+def test_extract_fourier_equals_dense_trapezoid():
+    model = get_model("example31")
+    for grid_size in (2, 3, 10, 11, 64, 65):
+        n_max = (grid_size - 1) // 2
+        theta = np.linspace(0.0, math.pi, grid_size)
+        w = np.full(grid_size, math.pi / (grid_size - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        cosines = np.cos(np.outer(np.arange(n_max + 1), theta))
+        dense = (2 / math.pi) * (cosines @ (w * model.evaluator(theta)))
+        dense[0] *= 0.5
+        got = extract_fourier(model, n_max, grid_size)
+        assert got.values == pytest.approx(dense.tolist(), rel=0, abs=1e-14)
+
+
+def test_scalar_only_evaluators_fall_back_to_per_angle_calls():
+    branching = SphericalModel("step", lambda t: 1.0 if t < 1.0 else 0.5)
+    vectorized = SphericalModel("step", lambda t: np.where(t < 1.0, 1.0, 0.5))
+    assert extract_fourier(branching, 8, 33) == extract_fourier(vectorized, 8, 33)
+    constant = SphericalModel("const", lambda t: 1.0)  # a float even for an array
+    assert extract_legendre(constant, 5, 16) == extract_legendre(get_model("one"), 5, 16)
 
 
 def test_extract_legendre_orthogonality():
@@ -272,6 +318,7 @@ def test_jacobi_handles_clustered_spectrum():
     qm, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     a = qm @ np.diag(diag) @ qm.T
     assert min_symmetric_eigenvalue(a) == pytest.approx(-2.0, abs=1e-10)
+    assert symmetric_eigenvalues(a) == pytest.approx(np.linalg.eigvalsh(a), abs=1e-14)
 
 
 def test_jacobi_input_validation():
@@ -302,6 +349,15 @@ def test_gram_detects_negative_coefficient():
     report = gram_psd_check(bad, 2, 20, seed=7)
     assert not report.psd_pass
     assert report.min_eigen_estimate < -1.0
+
+
+def test_gram_exact_sequence_matches_its_float_image():
+    rnd = random.Random(9)
+    seq = random_exact_normalized(rnd, 40, dimension=3)
+    assert float(seq.total()) == seq.to_floats().total()
+    exact = gram_psd_check(model_from_seq(seq), 3, 25, seed=2)
+    floats = gram_psd_check(model_from_seq(seq.to_floats()), 3, 25, seed=2)
+    assert exact == floats
 
 
 def test_gram_is_deterministic_in_the_seed():
