@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import beta
 from .series import SphericalModel, evaluate_series
 from .walk import CoeffSeq
 
@@ -35,11 +33,6 @@ __all__ = [
     "MODEL_NAMES",
     "get_model",
 ]
-
-# Largest n on which the walked closed form runs in exact rationals; beyond
-# it the log-gamma float route takes over (both agree to ~1e-12 relative).
-_EXACT_LIMIT = 1000
-
 
 def example_fourier_seq(n_max: int) -> CoeffSeq:
     """Inverse-square cosine coefficients: b_0 = 0, b_n = 6/(pi^2 n^2)."""
@@ -59,22 +52,21 @@ def example_closed_form(n: int, k: int) -> float:
 
         3 k (n+k) B(n/2, k)^2 / (n pi^2 (n+2k)^2 B(n, 2k)).
 
-    The Beta values are exact Fractions (Pochhammer form) up to n = 1000;
-    larger n switches to the log-gamma float route. Strictly positive for all
-    n, k >= 1 and O(n^-2) for fixed k.
+    The Beta ratio is ((k-1)!)^2/(2k-1)! * (n)_(2k) / ((n/2)_(k))^2, which
+    equals (2/k) prod_(j=1..k) 2j (n+2j-1) / ((2j-1)(n+2j-2)). Every factor
+    lies in (1, 4] and the product grows only like sqrt(k (n+2k)/n), so it
+    neither overflows nor underflows, and its relative error is O(k)
+    roundings. Strictly positive for all n, k >= 1 and
+    O(n^-2) for fixed k.
     """
     if n < 1:
         raise ValueError("defined for n >= 1 (the closed form has n in a denominator)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n <= _EXACT_LIMIT:
-        b_half = beta(Fraction(n, 2), k)
-        b_full = beta(n, 2 * k)
-        r = Fraction(3 * k * (n + k), n * (n + 2 * k) ** 2) * b_half**2 / b_full
-        return float(r) / math.pi**2
-    b_half = beta(n / 2, k, mode="float")
-    b_full = beta(n, 2 * k, mode="float")
-    return 3 * k * (n + k) * b_half**2 / (n * math.pi**2 * (n + 2 * k) ** 2 * b_full)
+    r = 6.0 * (n + k) / (n * (n + 2 * k) ** 2)
+    for j in range(1, k + 1):
+        r *= 2 * j * (n + 2 * j - 1) / ((2 * j - 1) * (n + 2 * j - 2))
+    return r / math.pi**2
 
 
 def example_walked_closed_form_seq(n_max: int, k: int) -> CoeffSeq:

@@ -53,7 +53,7 @@ class CoeffSeq:
         if len(self.values) == 0:
             raise ValueError("sequence must contain at least one value")
         if self.kind == EXACT:
-            vals = tuple(Fraction(v) for v in self.values)
+            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         else:
             vals = tuple(float(v) for v in self.values)
             if not all(math.isfinite(v) for v in vals):
@@ -88,6 +88,27 @@ def _close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_FLOOR) -
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
 
 
+def _step_entry(n: int, d: int, x, y, exact: bool):
+    """Output entry n of a d -> d+2 step from x = b_n and y = b_{n+2}.
+
+    With the step written as b'_n = (p/q) b_n - (r/s) b_{n+2} in integers
+    p, q, r, s, an exact entry is one reduced Fraction built from integer
+    numerators and denominators. Float entries keep the displayed operation
+    order of ``step_up``.
+    """
+    if d == 1:
+        p, q, r, s = (1, 1, 1, 2) if n == 0 else (n + 1, 2, n + 1, 2)
+    else:
+        p, q = (n + d - 1) * (n + d), d * (2 * n + d - 1)
+        r, s = (n + 1) * (n + 2), d * (2 * n + d + 3)
+    if exact:
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        return Fraction(p * s * xn * yd - r * q * yn * xd, q * s * xd * yd)
+    if d == 1:
+        return x - 0.5 * y if n == 0 else p / q * (x - y)
+    return p / q * x - r / s * y
+
+
 def step_up(seq: CoeffSeq) -> CoeffSeq:
     """One d -> d+2 step of the coefficient recursion; n_max drops by 2.
 
@@ -106,24 +127,8 @@ def step_up(seq: CoeffSeq) -> CoeffSeq:
     d = seq.dimension
     exact = seq.kind == EXACT
     v = seq.values
-    out = []
-    for n in range(seq.n_max - 1):
-        if d == 1:
-            if n == 0:
-                half = Fraction(1, 2) if exact else 0.5
-                out.append(v[0] - half * v[2])
-            else:
-                c = Fraction(n + 1, 2) if exact else (n + 1) / 2
-                out.append(c * (v[n] - v[n + 2]))
-        else:
-            if exact:
-                a = Fraction((n + d - 1) * (n + d), d * (2 * n + d - 1))
-                b = Fraction((n + 1) * (n + 2), d * (2 * n + d + 3))
-            else:
-                a = (n + d - 1) * (n + d) / (d * (2 * n + d - 1))
-                b = (n + 1) * (n + 2) / (d * (2 * n + d + 3))
-            out.append(a * v[n] - b * v[n + 2])
-    return CoeffSeq(d + 2, tuple(out), seq.kind)
+    out = tuple(_step_entry(n, d, v[n], v[n + 2], exact) for n in range(seq.n_max - 1))
+    return CoeffSeq(d + 2, out, seq.kind)
 
 
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
@@ -144,7 +149,14 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     for n in range(seq.n_max - 2 * k + 1):
         row = rows(n, k)
         if exact:
-            out.append(sum(w * seq.values[n + 2 * i] for i, w in enumerate(row.weights)))
+            # sum w_i * b_{n+2i} as one unreduced integer fraction, reduced once
+            num, den = 0, 1
+            for i, w in enumerate(row.weights):
+                v = seq.values[n + 2 * i]
+                if v:
+                    a, b = w.numerator * v.numerator, w.denominator * v.denominator
+                    num, den = num * b + a * den, den * b
+            out.append(Fraction(num, den))
         else:
             out.append(
                 math.fsum(w * seq.values[n + 2 * i] for i, w in enumerate(row.as_floats()))
@@ -175,7 +187,7 @@ def zero_row_identity_check(seq: CoeffSeq) -> bool:
     if seq.n_max < 2:
         raise ValueError("need n_max >= 2")
     d = seq.dimension
-    top = step_up(seq).values[0]
+    top = _step_entry(0, d, seq.values[0], seq.values[2], seq.kind == EXACT)
     if seq.kind == EXACT:
         return top == seq.values[0] - Fraction(2, d * (d + 3)) * seq.values[2]
     return _close(top, seq.values[0] - 2 / (d * (d + 3)) * seq.values[2])

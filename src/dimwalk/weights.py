@@ -6,17 +6,20 @@ dimensions up as a linear combination of base-dimension coefficients:
     b[n, 2k+1] = sum_i w_i * b[n+2i, 1]     odd-target rows (Fourier base)
     b[n, 2k+2] = sum_i w_i * b[n+2i, 2]     even-target rows (Legendre base)
 
-All weights are exact rationals. Rows are memoised per (n, k); the cache is
-fill-once and read-only, so concurrent use behaves as if it were absent.
+All weights are exact rationals, built from plain integer products with one
+reduced Fraction per entry; no Fraction arithmetic happens along the way.
+Rows are memoised per (n, k); the cache is fill-once and read-only, so
+concurrent use behaves as if it were absent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import binomial, double_factorial, pochhammer
+from .exactnum import double_factorial, pochhammer
 
 __all__ = [
     "ODD",
@@ -68,19 +71,19 @@ def odd_weights(n: int, k: int) -> WalkWeights:
                      * (n+1)_(2k-1) / (n+i)_(k+1)
 
     except for the piecewise value 1 at (i, n) = (0, 0), which is a
-    definition rather than a limit of the product.
+    definition rather than a limit of the product. The rising factorials are
+    integer falling-factorial ratios, (x)_(m) = perm(x+m-1, m).
     """
     _check_nk(n, k)
-    dfact = double_factorial(k)
-    rising = pochhammer(n + 1, 2 * k - 1)
+    top = (n + k) * math.perm(n + 2 * k - 1, 2 * k - 1)
+    scale = 2**k * double_factorial(k)
     ws = []
     for i in range(k + 1):
         if i == 0 and n == 0:
             ws.append(Fraction(1))
             continue
-        num = (-1) ** i * binomial(k, i) * (n + k) * (n + 2 * i) * rising
-        den = 2**k * dfact * pochhammer(n + i, k + 1)
-        ws.append(Fraction(num, den))
+        num = (-1) ** i * math.comb(k, i) * (n + 2 * i) * top
+        ws.append(Fraction(num, scale * math.perm(n + i + k, k + 1)))
     return WalkWeights(n=n, k=k, parity=ODD, weights=tuple(ws))
 
 
@@ -93,16 +96,19 @@ def even_weights(n: int, k: int) -> WalkWeights:
         (-1)^i * (2k-1)!!/2^k * C(k,i) * C(2k+n,n)
                / [ (n+i+1/2)_(k-i) * (n+k+3/2)_(i) ]
 
-    with the half-integer Pochhammer factors evaluated exactly as Fractions.
+    The half-integer Pochhammer product in the denominator is 2^-k times the
+    integer P_i, the product of the odd numbers from 2n+2i+1 to 2n+2k+2i+1
+    without 2n+2k+1. The 2^k factors cancel, and P_(i+1) follows from P_i by
+    one exact multiply and one exact divide, so a row costs O(k) integer
+    operations.
     """
     _check_nk(n, k)
-    pref = Fraction(double_factorial(k) * binomial(2 * k + n, n), 2**k)
+    pref = double_factorial(k) * math.comb(2 * k + n, n)
+    odd_product = math.prod(range(2 * n + 1, 2 * n + 2 * k, 2))  # P_0
     ws = []
     for i in range(k + 1):
-        den = pochhammer(Fraction(2 * (n + i) + 1, 2), k - i) * pochhammer(
-            Fraction(2 * (n + k) + 3, 2), i
-        )
-        ws.append((-1) ** i * binomial(k, i) * pref / den)
+        ws.append(Fraction((-1) ** i * math.comb(k, i) * pref, odd_product))
+        odd_product = odd_product * (2 * (n + k + i) + 3) // (2 * (n + i) + 1)
     return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(ws))
 
 

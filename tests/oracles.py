@@ -3,6 +3,8 @@
 - recursion_weight_tables: iterate the two-step coefficient recursion
   symbolically (base coefficients as formal symbols) and read off the weight
   rows, without touching the closed-form code paths.
+- odd_row_reference / even_row_reference: the weight-row formulas written
+  out term by term with Fraction Pochhammer symbols, O(k^2) per row.
 - project_series: quadrature projection of an evaluable function onto the
   normalized ultraspherical basis, built on scipy's polynomial evaluation
   rather than the library's own basis recurrence.
@@ -62,6 +64,43 @@ def weight_vector(table_row: dict[int, Fraction], n: int, k: int) -> list[Fracti
     stray = set(table_row) - allowed
     assert not stray, f"recursion produced out-of-stencil terms at {sorted(stray)}"
     return [table_row.get(n + 2 * i, Fraction(0)) for i in range(k + 1)]
+
+
+def _rising(x, m: int):
+    out = 1
+    for j in range(m):
+        out = out * (x + j)
+    return out
+
+
+def odd_row_reference(n: int, k: int) -> list[Fraction]:
+    """Odd-target row: (-1)^i C(k,i) (n+k)(n+2i) (n+1)_(2k-1)
+    / (2^k (2k-1)!! (n+i)_(k+1)), with the piecewise value 1 at (i, n) = (0, 0).
+    """
+    dfact = math.prod(range(1, 2 * k, 2))
+    rising = _rising(n + 1, 2 * k - 1)
+    ws = []
+    for i in range(k + 1):
+        if i == 0 and n == 0:
+            ws.append(Fraction(1))
+            continue
+        num = (-1) ** i * math.comb(k, i) * (n + k) * (n + 2 * i) * rising
+        ws.append(Fraction(num, 2**k * dfact * _rising(n + i, k + 1)))
+    return ws
+
+
+def even_row_reference(n: int, k: int) -> list[Fraction]:
+    """Even-target row: (-1)^i (2k-1)!!/2^k C(k,i) C(2k+n,n)
+    / [(n+i+1/2)_(k-i) (n+k+3/2)_(i)], half-integer factors as Fractions.
+    """
+    pref = Fraction(math.prod(range(1, 2 * k, 2)) * math.comb(2 * k + n, n), 2**k)
+    ws = []
+    for i in range(k + 1):
+        den = _rising(Fraction(2 * (n + i) + 1, 2), k - i) * _rising(
+            Fraction(2 * (n + k) + 3, 2), i
+        )
+        ws.append((-1) ** i * math.comb(k, i) * pref / den)
+    return ws
 
 
 def project_series(evaluator, d: int, n_max: int, degree_hint: int) -> np.ndarray:

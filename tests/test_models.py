@@ -84,7 +84,7 @@ def test_closed_form_matches_weighted_sum():
 
 
 def test_closed_form_float_path_matches_exact_form():
-    # past the rational cutoff the log-gamma route takes over
+    # large n, against the exact Beta form
     for n, k in ((1500, 1), (4000, 3)):
         b_half = beta(Q(n, 2), k)
         b_full = beta(n, 2 * k)

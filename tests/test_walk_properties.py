@@ -1,0 +1,97 @@
+"""Property tests for the walks on random small inputs: the exact closed form
+equals k exact steps, exact walks are linear, and the float routes give,
+bit for bit, what the displayed float expressions give.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from dimwalk.walk import CoeffSeq, step_up, walk_closed_form  # noqa: E402
+
+from oracles import even_row_reference, odd_row_reference  # noqa: E402
+
+RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=64)
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def walk_cases(draw, elements, count=1):
+    """(d, k, sequences): count equal-length value lists long enough for k steps."""
+    d = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(1, 6))
+    size = draw(st.integers(2 * k + 1, 2 * k + 12))
+    seqs = [draw(st.lists(elements, min_size=size, max_size=size)) for _ in range(count)]
+    return d, k, seqs
+
+
+def _stepped(seq, k):
+    for _ in range(k):
+        seq = step_up(seq)
+    return seq
+
+
+def _float_step_reference(v, d):
+    out = []
+    for n in range(len(v) - 2):
+        if d == 1:
+            if n == 0:
+                out.append(v[0] - 0.5 * v[2])
+            else:
+                c = (n + 1) / 2
+                out.append(c * (v[n] - v[n + 2]))
+        else:
+            a = (n + d - 1) * (n + d) / (d * (2 * n + d - 1))
+            b = (n + 1) * (n + 2) / (d * (2 * n + d + 3))
+            out.append(a * v[n] - b * v[n + 2])
+    return out
+
+
+def _float_closed_reference(v, d, k):
+    rows = odd_row_reference if d == 1 else even_row_reference
+    return [
+        math.fsum(float(w) * v[n + 2 * i] for i, w in enumerate(rows(n, k)))
+        for n in range(len(v) - 2 * k)
+    ]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@PROPERTY
+@given(walk_cases(RATIONALS))
+def test_exact_closed_form_equals_k_steps(case):
+    d, k, (values,) = case
+    seq = CoeffSeq.exact(d, values)
+    assert walk_closed_form(seq, k).values == _stepped(seq, k).values
+
+
+@PROPERTY
+@given(walk_cases(RATIONALS, count=2), RATIONALS)
+def test_exact_walks_are_linear(case, a):
+    d, k, (xs, ys) = case
+    x, y = CoeffSeq.exact(d, xs), CoeffSeq.exact(d, ys)
+    mixed = CoeffSeq.exact(d, [a * u + v for u, v in zip(xs, ys)])
+    for walk in (lambda s: walk_closed_form(s, k), lambda s: _stepped(s, k)):
+        expected = tuple(a * u + v for u, v in zip(walk(x).values, walk(y).values))
+        assert walk(mixed).values == expected
+
+
+@PROPERTY
+@given(walk_cases(FLOATS))
+def test_float_walks_match_displayed_expressions_bitwise(case):
+    d, k, (values,) = case
+    seq = CoeffSeq.floats(d, values)
+    assert _bits(walk_closed_form(seq, k).values) == _bits(
+        _float_closed_reference(values, d, k)
+    )
+    expected = values
+    for step in range(k):
+        seq = step_up(seq)
+        expected = _float_step_reference(expected, d + 2 * step)
+        assert _bits(seq.values) == _bits(expected)

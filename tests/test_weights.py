@@ -18,7 +18,12 @@ from dimwalk.weights import (
     weight_row_sum,
 )
 
-from oracles import recursion_weight_tables, weight_vector
+from oracles import (
+    even_row_reference,
+    odd_row_reference,
+    recursion_weight_tables,
+    weight_vector,
+)
 
 
 @pytest.mark.parametrize(
@@ -155,3 +160,11 @@ def test_recursion_oracle_agreement_small_grid():
                 got = rows(n, k)
                 assert got.parity == parity
                 assert list(got.weights) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_rows_equal_pochhammer_reference(k):
+    # n = 0 covers the piecewise (i, n) = (0, 0) odd entry
+    for n in [*range(41), 599, 1999]:
+        assert list(odd_weights(n, k).weights) == odd_row_reference(n, k), (n, k)
+        assert list(even_weights(n, k).weights) == even_row_reference(n, k), (n, k)
