@@ -57,6 +57,7 @@ from .walk import (
     step_up,
     verify_walk_equivalence,
     walk_closed_form,
+    walk_recursive,
     zero_row_identity_check,
 )
 from .weights import (

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -82,38 +83,23 @@ def cmd_coeffs(args) -> int:
 
 def cmd_walk(args) -> int:
     seq = seqio.read_sequence(args.input)
-    method = args.method
-    if method in ("closed", "both") and seq.dimension not in (1, 2):
-        return _fail(
-            f"closed-form walks start at dimension 1 or 2 (input is {seq.dimension}); "
-            "use --method recursive",
-            EXIT_USAGE,
-        )
-    if seq.n_max < 2 * args.k:
-        return _fail(
-            f"input n_max = {seq.n_max} too short for k = {args.k} (need >= {2 * args.k})",
-            EXIT_USAGE,
-        )
     closed = stepped = None
-    if method in ("closed", "both"):
+    if args.method in ("closed", "both"):
         closed = walk.walk_closed_form(seq, args.k)
-    if method in ("recursive", "both"):
-        stepped = seq
-        for _ in range(args.k):
-            stepped = walk.step_up(stepped)
-    out = closed if closed is not None else stepped
-    if method == "both":
+    if args.method in ("recursive", "both"):
+        stepped = walk.walk_recursive(seq, args.k)
+    if args.method == "both":
         diffs = [float(abs(a - b)) for a, b in zip(closed.values, stepped.values)]
         print(f"max discrepancy: {max(diffs)!r}")
         if not walk._walks_agree(closed, stepped):
             return _fail("closed-form and recursive walks disagree", EXIT_WALK_VERIFY)
-    seqio.write_sequence(args.output, out)
+    seqio.write_sequence(args.output, closed if closed is not None else stepped)
     return EXIT_OK
 
 
 def _load_samples(path: str) -> np.ndarray:
     try:
-        doc = json.loads(open(path, encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise seqio.SequenceFormatError(f"sample file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "values" not in doc:
@@ -182,12 +168,28 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _index_runs(indices) -> str:
+    """Ascending indices as runs ("3-7, 9"); past ten runs only the first and
+    last five are listed, around "..."."""
+    runs = []
+    for i in indices:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    text = [str(a) if a == b else f"{a}-{b}" for a, b in runs]
+    if len(text) > 10:
+        text = text[:5] + ["..."] + text[-5:]
+    return ", ".join(text)
+
+
 def cmd_verify(args) -> int:
     seq = seqio.read_sequence(args.input)
     report = series.check_membership(seq, strict=args.strict)
     print(f"nonnegativity: {'pass' if report.nonneg_ok else 'FAIL'}")
     if report.violations:
-        print("  negative entries at n = " + ", ".join(str(i) for i in report.violations))
+        print(f"  negative entries: {len(report.violations)} at n = "
+              + _index_runs(report.violations))
     print(f"normalization defect: {report.normalization_defect!r}")
     print(f"positive entries: even {report.positive_even}, odd {report.positive_odd}")
     if args.strict:
@@ -209,34 +211,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_model(args) -> int:
-    name = args.name
-    if name == "example31":
-        if args.epsilon is not None or args.c is not None or args.c0 is not None:
-            return _fail("example31 takes no --epsilon/--c/--c0", EXIT_USAGE)
-        if args.closed_form and args.walked_k is None:
-            return _fail("--closed-form requires --walked-k", EXIT_USAGE)
-        if args.walked_k is None:
-            seq = models.example_fourier_seq(args.n_max)
-        elif args.closed_form:
-            seq = models.example_walked_closed_form_seq(args.n_max, args.walked_k)
-        else:
-            base = models.example_fourier_seq(args.n_max + 2 * args.walked_k)
-            seq = walk.walk_closed_form(base, args.walked_k)
-    elif name == "hs":
-        if args.walked_k is not None or args.closed_form:
-            return _fail("hs has no --walked-k/--closed-form; walk its file instead", EXIT_USAGE)
-        if args.epsilon is None:
-            return _fail("hs requires --epsilon", EXIT_USAGE)
-        spec = models.HSModelSpec(
-            epsilon=args.epsilon,
-            c0=args.c0 if args.c0 is not None else 1.0,
-            c=args.c if args.c is not None else 1.0,
-        )
+    if args.name == "hs":
+        spec = models.HSModelSpec(epsilon=args.epsilon, c0=args.c0, c=args.c)
         seq = models.hs_model_seq(spec, args.n_max)
+    elif args.walked_k is None:
+        if args.closed_form:
+            return _fail("--closed-form requires --walked-k", EXIT_USAGE)
+        seq = models.example_fourier_seq(args.n_max)
+    elif args.closed_form:
+        seq = models.example_walked_closed_form_seq(args.n_max, args.walked_k)
     else:
-        return _fail(
-            f"unknown model {name!r} (file generation supports: example31, hs)", EXIT_USAGE
-        )
+        base = models.example_fourier_seq(args.n_max + 2 * args.walked_k)
+        seq = walk.walk_closed_form(base, args.walked_k)
     seqio.write_sequence(args.output, seq)
     return EXIT_OK
 
@@ -296,18 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("model", help="write a model coefficient file")
-    p.add_argument("name", help="example31 or hs")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--walked-k", type=int, default=None,
-                   help="example31 only: walk the file up by 2k dimensions")
-    p.add_argument("--closed-form", action="store_true",
-                   help="example31 with --walked-k: use the walked closed form "
-                        "(n = 0 entry written as 0)")
-    p.add_argument("--epsilon", type=float, default=None, help="hs decay exponent (> 0)")
-    p.add_argument("--c", type=float, default=None, help="hs limit coefficient (default 1)")
-    p.add_argument("--c0", type=float, default=None, help="hs n = 0 coefficient (default 1)")
     p.set_defaults(func=cmd_model)
+    family = p.add_subparsers(dest="name", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n-max", type=int, required=True)
+    common.add_argument("--output", required=True)
+    # no abbreviations here: hs's --c would otherwise be read as --closed-form
+    m = family.add_parser("example31", parents=[common], allow_abbrev=False,
+                          help="inverse-square cosine family")
+    m.add_argument("--walked-k", type=int, default=None,
+                   help="walk the file up by 2k dimensions")
+    m.add_argument("--closed-form", action="store_true",
+                   help="with --walked-k: use the walked closed form (n = 0 entry written as 0)")
+    m = family.add_parser("hs", parents=[common], help="dimension-2 power-decay family")
+    m.add_argument("--epsilon", type=float, required=True, help="decay exponent (> 0)")
+    m.add_argument("--c", type=float, default=models.HSModelSpec.c,
+                   help="limit coefficient (default %(default)s)")
+    m.add_argument("--c0", type=float, default=models.HSModelSpec.c0,
+                   help="n = 0 coefficient (default %(default)s)")
 
     return parser
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SphericalModel, evaluate_series
+from .series import SphericalModel, model_from_seq
 from .walk import CoeffSeq
 
 __all__ = [
@@ -189,36 +189,24 @@ def get_model(name: str, **params) -> SphericalModel:
     take no parameters. Unknown names raise KeyError. Every evaluator takes a
     float or an ndarray of angles.
     """
-    if name == "one":
-        if params:
-            raise ValueError(f"model {name!r} takes no parameters")
-        # [()] turns the 0-d result for a float angle into a scalar
-        return SphericalModel(
-            "one", lambda t: np.ones(np.shape(t))[()], lambda n, d: 1.0 if n == 0 else 0.0
-        )
-    if name == "cosine":
-        if params:
-            raise ValueError(f"model {name!r} takes no parameters")
-        return SphericalModel("cosine", np.cos, lambda n, d: 1.0 if n == 1 else 0.0)
-    if name == "example31":
-        if params:
-            raise ValueError(f"model {name!r} takes no parameters")
-        return SphericalModel("example31", example_psi, _example31_oracle)
     if name == "hs":
         n_trunc = int(params.pop("n_trunc", 2000))
         spec = HSModelSpec(
             epsilon=float(params.pop("epsilon", 1.0)),
-            c0=float(params.pop("c0", 1.0)),
-            c=float(params.pop("c", 1.0)),
+            c0=float(params.pop("c0", HSModelSpec.c0)),
+            c=float(params.pop("c", HSModelSpec.c)),
         )
         if params:
             raise ValueError(f"unknown hs parameters: {sorted(params)}")
-        seq = hs_model_seq(spec, n_trunc)
-
-        def oracle(n: int, d: int) -> float | None:
-            if d == 2 and 0 <= n <= n_trunc:
-                return float(seq.values[n])
-            return None
-
-        return SphericalModel("hs", lambda theta: evaluate_series(seq, theta), oracle)
-    raise KeyError(name)
+        return model_from_seq(hs_model_seq(spec, n_trunc), "hs")
+    fixed = {
+        # [()] turns the 0-d result for a float angle into a scalar
+        "one": (lambda t: np.ones(np.shape(t))[()], lambda n, d: 1.0 if n == 0 else 0.0),
+        "cosine": (np.cos, lambda n, d: 1.0 if n == 1 else 0.0),
+        "example31": (example_psi, _example31_oracle),
+    }
+    if name not in fixed:
+        raise KeyError(name)
+    if params:
+        raise ValueError(f"model {name!r} takes no parameters")
+    return SphericalModel(name, *fixed[name])

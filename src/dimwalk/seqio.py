@@ -10,11 +10,10 @@ it carries no metadata and is not read back.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
-from .walk import EXACT, FLOAT, CoeffSeq
+from .walk import EXACT, CoeffSeq
 
 __all__ = [
     "SequenceFormatError",
@@ -51,38 +50,30 @@ def sequence_from_json(text: str) -> CoeffSeq:
         raise SequenceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SequenceFormatError("top level must be a JSON object")
-    for key in ("dimension", "n_max", "kind", "values"):
+    keys = ("dimension", "n_max", "kind", "values")
+    for key in keys:
         if key not in doc:
             raise SequenceFormatError(f"missing required key {key!r}")
-    dimension = doc["dimension"]
-    n_max = doc["n_max"]
-    kind = doc["kind"]
-    raw = doc["values"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise SequenceFormatError("'dimension' must be an integer >= 1")
+    dimension, n_max, kind, raw = (doc[key] for key in keys)
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise SequenceFormatError("'dimension' must be an integer")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise SequenceFormatError("'n_max' must be an integer >= 0")
-    if kind not in (EXACT, FLOAT):
-        raise SequenceFormatError(f"'kind' must be {EXACT!r} or {FLOAT!r}")
     if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
         raise SequenceFormatError("'values' must be a list of strings")
     if len(raw) != n_max + 1:
         raise SequenceFormatError(
             f"'values' must have n_max + 1 = {n_max + 1} entries, got {len(raw)}"
         )
-    if kind == EXACT:
-        try:
-            values = tuple(Fraction(s) for s in raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SequenceFormatError(f"bad exact value: {exc}") from exc
-    else:
-        try:
-            values = tuple(float(s) for s in raw)
-        except ValueError as exc:
-            raise SequenceFormatError(f"bad float value: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise SequenceFormatError("float values must be finite")
-    return CoeffSeq(dimension, values, kind)
+    parse = Fraction if kind == EXACT else float
+    try:
+        values = tuple(parse(s) for s in raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SequenceFormatError(f"bad value: {exc}") from exc
+    try:  # CoeffSeq judges dimension >= 1, the kind and finiteness
+        return CoeffSeq(dimension, values, kind)
+    except ValueError as exc:
+        raise SequenceFormatError(str(exc)) from exc
 
 
 def read_sequence(path) -> CoeffSeq:

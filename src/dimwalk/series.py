@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .walk import EXACT, CoeffSeq
+from .walk import CoeffSeq
 
 __all__ = [
     "ResolutionError",
@@ -304,10 +304,7 @@ def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
     """Report nonnegativity violations, |sum - 1|, and parity counts."""
     vals = [float(v) for v in seq.values]
     violations = tuple(n for n, v in enumerate(vals) if v < -NONNEG_TOL)
-    if seq.kind == EXACT:
-        defect = float(abs(seq.total() - 1))
-    else:
-        defect = abs(math.fsum(vals) - 1.0)
+    defect = float(abs(seq.total() - 1))
     positive_even = sum(1 for n, v in enumerate(vals) if n % 2 == 0 and v > 0)
     positive_odd = sum(1 for n, v in enumerate(vals) if n % 2 == 1 and v > 0)
     return MembershipReport(

@@ -6,8 +6,9 @@ entries (nothing is ever extrapolated past the truncation), so a k-step walk
 shortens the sequence by 2k while raising the dimension by 2k.
 
 Two routes compute the same walk: repeated application of the two-step
-recursion (``step_up``) and the closed-form weight rows
-(``walk_closed_form``). ``verify_walk_equivalence`` runs both and compares.
+recursion (``walk_recursive``, k calls of ``step_up``) and the closed-form
+weight rows (``walk_closed_form``). ``verify_walk_equivalence`` runs both
+and compares.
 All transformations are pure; rows are computed independently of each other.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "FLOAT",
     "CoeffSeq",
     "step_up",
+    "walk_recursive",
     "walk_closed_form",
     "verify_walk_equivalence",
     "zero_row_identity_check",
@@ -131,18 +133,34 @@ def step_up(seq: CoeffSeq) -> CoeffSeq:
     return CoeffSeq(d + 2, out, seq.kind)
 
 
+def _check_walk(seq: CoeffSeq, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if seq.n_max < 2 * k:
+        raise ValueError(f"sequence n_max = {seq.n_max} too short for k = {k} (need >= {2 * k})")
+
+
+def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
+    """Walk a sequence of any dimension up by 2k through k calls of ``step_up``;
+    output n_max = n_max - 2k."""
+    _check_walk(seq, k)
+    for _ in range(k):
+        seq = step_up(seq)
+    return seq
+
+
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     """Walk a dimension-1 or dimension-2 sequence up by 2k in one shot.
 
     Output entry n is sum_i w_i(n,k) * values[n+2i] with the odd- or
     even-target weight row; output n_max = n_max - 2k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if seq.dimension not in (1, 2):
-        raise ValueError("closed-form walks start at dimension 1 or 2")
-    if seq.n_max < 2 * k:
-        raise ValueError(f"sequence too short: need n_max >= 2k = {2 * k}")
+        raise ValueError(
+            f"closed-form walks start at dimension 1 or 2 (input is {seq.dimension}); "
+            "use the recursion for higher dimensions"
+        )
+    _check_walk(seq, k)
     rows = odd_weights if seq.dimension == 1 else even_weights
     exact = seq.kind == EXACT
     out = []
@@ -170,10 +188,7 @@ def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
     Exact sequences must match exactly; float sequences within relative
     1e-12 (absolute floor 1e-15 near zero).
     """
-    stepped = seq
-    for _ in range(k):
-        stepped = step_up(stepped)
-    return _walks_agree(walk_closed_form(seq, k), stepped)
+    return _walks_agree(walk_closed_form(seq, k), walk_recursive(seq, k))
 
 
 def _walks_agree(closed: CoeffSeq, stepped: CoeffSeq) -> bool:

@@ -160,6 +160,19 @@ def test_walk_recursive_supports_higher_dimensions(capsys, tmp_path):
     )[0] == 2
 
 
+@pytest.mark.parametrize("method", ["closed", "recursive", "both"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_walk_rejects_k_below_one(capsys, tmp_path, method, k):
+    src = tmp_path / "in.json"
+    dst = tmp_path / "out.json"
+    write_sequence(src, CoeffSeq.exact(1, [1, 0, 0, 0, 0]))
+    code, _, err = run(
+        capsys, "walk", "--input", str(src), "--k", k, "--method", method, "--output", str(dst)
+    )
+    assert code == 2 and "k must be >= 1" in err
+    assert not dst.exists()
+
+
 # -- extract ----------------------------------------------------------------
 
 
@@ -279,6 +292,20 @@ def test_extract_samples_notes_interpolation(capsys, tmp_path):
         assert read_sequence(dst).values[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_extract_samples_closes_its_file(tmp_path):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"values": [1.0] * 41}))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "dimwalk",
+         "extract", "--samples", str(samples), "--dim", "1", "--n-max", "5",
+         "--output", str(tmp_path / "o.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -324,6 +351,20 @@ def test_verify_flags_negative_entry(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(src))
     assert code == 5
     assert "FAIL" in out and "n = 2" in out
+
+
+def test_verify_bounds_the_violation_list(capsys, tmp_path):
+    # 1500 negative entries at odd n, each its own run, then one run 3000-3009
+    vals = [0.001 if n % 2 == 0 else -0.001 for n in range(3000)] + [-0.001] * 10
+    src = tmp_path / "neg.json"
+    write_sequence(src, CoeffSeq.floats(2, vals))
+    code, out, _ = run(capsys, "verify", "--input", str(src))
+    assert code == 5
+    (line,) = [x for x in out.splitlines() if "negative entries" in x]
+    assert line == (
+        "  negative entries: 1510 at n = 1, 3, 5, 7, 9, ..., 2991, 2993, 2995, 2997, 2999-3009"
+    )
+    assert len(line) < 120
 
 
 def test_verify_gram_flags(capsys, tmp_path):
@@ -410,6 +451,20 @@ def test_model_argument_errors(capsys, tmp_path):
         capsys, "model", "hs", "--epsilon", "1.0", "--walked-k", "1", "--n-max", "10",
         "--output", dst,
     )[0] == 2
+
+
+def test_model_help_lists_both_models(capsys):
+    code, out, _ = run(capsys, "model", "--help")
+    assert code == 0
+    assert "{example31,hs}" in out
+
+
+def test_model_rejects_flags_of_the_other_model(capsys, tmp_path):
+    dst = tmp_path / "x.json"
+    for flags in (["example31", "--c", "1"], ["example31", "--c0", "1"],
+                  ["hs", "--epsilon", "1", "--closed-form"]):
+        assert run(capsys, "model", *flags, "--n-max", "10", "--output", str(dst))[0] == 2
+    assert not dst.exists()
 
 
 # -- general contract ----------------------------------------------------------

@@ -233,6 +233,17 @@ def test_registry_hs_model():
     )
 
 
+def test_registry_hs_model_is_its_series():
+    seq = hs_model_seq(HSModelSpec(epsilon=1.5, c0=2.0, c=0.5), 300)
+    model = get_model("hs", epsilon=1.5, c0=2.0, c=0.5, n_trunc=300)
+    thetas = np.linspace(0.0, math.pi, 17)
+    assert model.evaluator(thetas).tolist() == evaluate_series(seq, thetas).tolist()
+    assert model.evaluator(0.0) == seq.total()
+    assert model.coefficient_oracle(300, 2) == seq.values[300]
+    assert model.coefficient_oracle(301, 2) is None
+    assert model.coefficient_oracle(1, 3) is None
+
+
 def test_registry_errors():
     with pytest.raises(KeyError):
         get_model("sinc")

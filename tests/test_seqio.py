@@ -62,6 +62,9 @@ def test_json_schema_fields():
         '{"dimension": 1, "n_max": 1, "kind": "float", "values": ["1.0", "abc"]}',
         '{"dimension": 1, "n_max": 1, "kind": "float", "values": [1.0, 2.0]}',
         '{"dimension": true, "n_max": 1, "kind": "float", "values": ["1.0", "2.0"]}',
+        '{"dimension": -3, "n_max": 1, "kind": "float", "values": ["1.0", "2.0"]}',
+        '{"dimension": 1, "n_max": 1, "kind": "Float", "values": ["1.0", "2.0"]}',
+        '{"dimension": 1, "n_max": 1, "kind": "float", "values": ["1.0", "nan"]}',
     ],
 )
 def test_malformed_documents_rejected(text):

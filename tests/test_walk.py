@@ -13,6 +13,7 @@ from dimwalk.walk import (
     step_up,
     verify_walk_equivalence,
     walk_closed_form,
+    walk_recursive,
     zero_row_identity_check,
 )
 from dimwalk.weights import even_weights, odd_weights
@@ -94,6 +95,33 @@ def test_closed_form_argument_errors():
         walk_closed_form(short, 2)  # n_max < 2k
     with pytest.raises(ValueError):
         walk_closed_form(short, 0)
+
+
+def test_walk_recursive_is_k_steps():
+    rnd = random.Random(5)
+    for d in (1, 2, 3):
+        seq = random_exact_signed(rnd, 12, dimension=d)
+        stepped = seq
+        for k in range(1, 7):
+            stepped = step_up(stepped)
+            assert walk_recursive(seq, k) == stepped
+
+
+def test_walk_recursive_argument_errors():
+    seq = CoeffSeq.exact(3, [1, 0, 0, 0, 0])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            walk_recursive(seq, k)
+    with pytest.raises(ValueError, match="too short"):
+        walk_recursive(seq, 3)  # n_max < 2k
+    # the closed form reports the same problems in the same words
+    short = CoeffSeq.exact(1, [1, 0, 0])
+    with pytest.raises(ValueError, match="too short"):
+        walk_closed_form(short, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        walk_closed_form(short, 0)
+    with pytest.raises(ValueError, match="use the recursion"):
+        walk_closed_form(seq, 1)
 
 
 @pytest.mark.parametrize("base,rows", [(1, odd_weights), (2, even_weights)])
