@@ -313,8 +313,6 @@ def main(argv=None) -> int:
     _thread_cap()
     try:
         return args.func(args)
-    except seqio.SequenceFormatError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except series.ResolutionError as exc:
         return _fail(str(exc), EXIT_RESOLUTION)
     except (ValueError, OSError) as exc:

@@ -117,7 +117,8 @@ def normalized_basis(d: int, n: int, theta: float) -> float:
     _check_theta(theta)
     if d == 1:
         return math.cos(n * theta)
-    return float(_basis_matrix(d, n, np.array([math.cos(theta)]))[n, 0])
+    (row,) = deque(_basis_rows(d, n, np.array([math.cos(theta)])), maxlen=1)
+    return float(row[0])
 
 
 def _basis_rows(d: int, n_max: int, x: np.ndarray):
@@ -127,11 +128,6 @@ def _basis_rows(d: int, n_max: int, x: np.ndarray):
     for j in range(n_max + 1):
         yield q1
         q0, q1 = q1, a[j] * x * q1 + c[j] * q0
-
-
-def _basis_matrix(d: int, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Normalized basis rows n = 0..n_max at x = cos(theta) points (d >= 1)."""
-    return np.array(list(_basis_rows(d, n_max, np.asarray(x, dtype=float))))
 
 
 def _clenshaw(d: int, b, theta, total: Callable[[], float]):
@@ -258,18 +254,18 @@ def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
         b_n = (2n+1)/2 * integral_{-1}^{1} psi(arccos x) P_n(x) dx.
 
     Exact to roundoff when psi(arccos x) is a polynomial of degree at most
-    2*order - 1 - n_max in x.
+    2*order - 1 - n_max in x. Each basis row is dotted with w * psi as the
+    recurrence produces it, so memory is O(order).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if order < n_max + 1:
         raise ResolutionError(f"order must be >= n_max + 1 = {n_max + 1}, got {order}")
     rule = gauss_legendre_rule(order)
-    psi = _evaluate(model, np.arccos(rule.nodes))
-    basis = _basis_matrix(2, n_max, rule.nodes)
-    integrals = basis @ (rule.weights * psi)
-    coeffs = (np.arange(n_max + 1) + 0.5) * integrals
-    return CoeffSeq.floats(2, coeffs.tolist())
+    wpsi = rule.weights * _evaluate(model, np.arccos(rule.nodes))
+    rows = _basis_rows(2, n_max, rule.nodes)
+    coeffs = [(n + 0.5) * float(row @ wpsi) for n, row in enumerate(rows)]
+    return CoeffSeq.floats(2, coeffs)
 
 
 @dataclass(frozen=True)

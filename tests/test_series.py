@@ -6,6 +6,7 @@ eigenvalue wrapper's contract, and Gram positive-definiteness spot checks.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -18,7 +19,7 @@ from dimwalk.series import (
     MembershipReport,
     ResolutionError,
     SphericalModel,
-    _basis_matrix,
+    _basis_rows,
     check_membership,
     evaluate_series,
     extract_fourier,
@@ -78,7 +79,7 @@ def test_basis_is_bounded_by_one():
     thetas = np.linspace(0.0, math.pi, 1000)
     x = np.cos(thetas)
     for d in range(1, 10):
-        mat = _basis_matrix(d, 200, x)
+        mat = np.array(list(_basis_rows(d, 200, x)))
         assert float(np.max(np.abs(mat))) <= 1.0 + 1e-12
 
 
@@ -248,6 +249,35 @@ def test_extract_legendre_round_trip():
     got = extract_legendre(model_from_seq(seq), 40, 64)
     for a, b in zip(got.values, seq.values):
         assert abs(a - float(b)) <= 1e-11
+
+
+@pytest.mark.parametrize("n_max, order", [(200, 256), (2000, 2001)])
+def test_extract_legendre_matches_dense_product(n_max, order):
+    # the streamed row-by-row dot products against one dense matrix-vector
+    # product: two summation orders of sums with |row| <= 1 differ by at
+    # most 2*order*u*sum|w psi| before the (n + 1/2) factor
+    model = get_model("hs", epsilon=1.0)
+    rule = gauss_legendre_rule(order)
+    wpsi = rule.weights * model.evaluator(np.arccos(rule.nodes))
+    dense = np.array(list(_basis_rows(2, n_max, rule.nodes))) @ wpsi
+    scale = np.arange(n_max + 1) + 0.5
+    u = np.finfo(float).eps / 2
+    bound = 2 * order * u * scale * float(np.sum(np.abs(wpsi)))
+    got = np.array(extract_legendre(model, n_max, order).values)
+    assert np.all(np.abs(got - scale * dense) <= bound)
+
+
+def test_extract_legendre_memory_is_linear_in_order():
+    # the dense (n_max+1) x order basis would be 32 MB here
+    model = get_model("hs", epsilon=1.0)
+    gauss_legendre_rule(2001)
+    tracemalloc.start()
+    try:
+        extract_legendre(model, 2000, 2001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_extract_legendre_rejects_small_order():
