@@ -8,7 +8,6 @@ positive-definiteness spot checks round out the toolkit.
 """
 
 from .exactnum import (
-    Rational,
     beta,
     binomial,
     double_factorial,

@@ -91,7 +91,7 @@ def cmd_walk(args) -> int:
     if args.method == "both":
         diffs = [float(abs(a - b)) for a, b in zip(closed.values, stepped.values)]
         print(f"max discrepancy: {max(diffs)!r}")
-        if not walk._walks_agree(closed, stepped):
+        if not walk._walks_agree(seq, args.k, closed.values, stepped.values):
             return _fail("closed-form and recursive walks disagree", EXIT_WALK_VERIFY)
     seqio.write_sequence(args.output, closed if closed is not None else stepped)
     return EXIT_OK

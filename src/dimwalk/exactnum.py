@@ -4,7 +4,7 @@ formulas are assembled from.
 
 Everything here is a pure function on immutable values, so all operations are
 safe under arbitrary concurrent use. Results are exact ``Fraction``/``int``
-values unless float mode is requested explicitly.
+values.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "double_factorial",
     "pochhammer",
     "binomial",
@@ -21,12 +20,6 @@ __all__ = [
     "frisch_identity_sides",
     "beta",
 ]
-
-# Exact signed rational. Python's Fraction already keeps lowest terms with a
-# positive denominator and reduces eagerly on every operation; half-integer
-# arguments are simply Fractions with denominator 2.
-Rational = Fraction
-
 
 def double_factorial(k: int) -> int:
     """Odd double factorial of order k: (2k-1)!! = prod_{i=1..k} (2i-1).
@@ -88,36 +81,23 @@ def frisch_identity_sides(k: int, b: int, c: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def beta(x, y, mode: str = "exact"):
-    """Beta function B(x, y) = Gamma(x)Gamma(y) / Gamma(x+y).
+def beta(x, y) -> Fraction:
+    """Beta function B(x, y) = Gamma(x)Gamma(y) / Gamma(x+y), exactly.
 
-    exact mode: both arguments must be positive integers or half-integers,
-    and at least one must be an integer k; then B(x, k) = (k-1)! / (x)_(k)
-    is an exact Fraction, with no Gamma evaluation at half-integers. Two
-    genuine half-integers are rejected: their sqrt(pi) factors multiply
-    instead of cancelling, so the value is irrational.
-
-    float mode: exp(lgamma(x) + lgamma(y) - lgamma(x+y)), stable for large
-    arguments (relative error stays near 1e-14 well past x = 1e4).
+    Both arguments must be positive integers or half-integers, and at least
+    one must be an integer k; then B(x, k) = (k-1)! / (x)_(k) is an exact
+    Fraction, with no Gamma evaluation at half-integers. Two genuine
+    half-integers are rejected: their sqrt(pi) factors multiply instead of
+    cancelling, so the value is irrational.
     """
-    if mode == "float":
-        fx, fy = float(x), float(y)
-        if fx <= 0 or fy <= 0:
-            raise ValueError("beta requires positive arguments")
-        return math.exp(math.lgamma(fx) + math.lgamma(fy) - math.lgamma(fx + fy))
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'float'")
     qx, qy = Fraction(x), Fraction(y)
     if qx <= 0 or qy <= 0:
         raise ValueError("beta requires positive arguments")
     if qx.denominator > 2 or qy.denominator > 2:
-        raise ValueError("exact mode supports integer or half-integer arguments only")
+        raise ValueError("beta supports integer or half-integer arguments only")
     if qy.denominator != 1:
         qx, qy = qy, qx
     if qy.denominator != 1:
-        raise ValueError(
-            "exact mode needs at least one integer argument; "
-            "use mode='float' for half-integer pairs"
-        )
+        raise ValueError("beta needs at least one integer argument")
     k = int(qy)
     return Fraction(math.factorial(k - 1)) / pochhammer(qx, k)

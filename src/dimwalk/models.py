@@ -8,7 +8,7 @@ Registered names:
                 b_{n,1} = 6/(pi^2 n^2), whose sum collapses to the quadratic
                 1 - 3 theta/pi + 3 theta^2/(2 pi^2)
 - ``hs``        the dimension-2 family b_{0,2} = c0/2,
-                b_{n,2} = (c_n/n^(2+eps)) (2n+1)/2 with c_n -> c
+                b_{n,2} = (c/n^(2+eps)) (2n+1)/2
 """
 
 from __future__ import annotations
@@ -89,53 +89,26 @@ def example_walked_closed_form_seq(n_max: int, k: int) -> CoeffSeq:
 
 @dataclass(frozen=True)
 class HSModelSpec:
-    """Coefficient rule c(0) = c0 and c(n) = c_n / n^(2+epsilon) for n >= 1.
-
-    The c_n default to the constant limit value c (the tightest admissible
-    bounds); an explicit table c_1, c_2, ... overrides the head of the
-    sequence and must respect the declared bounds lambda1 <= c_n <= lambda2
-    when those are given.
-    """
+    """Coefficient rule c(0) = c0 and c(n) = c / n^(2+epsilon) for n >= 1."""
 
     epsilon: float
     c0: float = 1.0
     c: float = 1.0
-    cn_table: tuple[float, ...] | None = None
-    lambda1: float | None = None
-    lambda2: float | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if not self.c0 > 0 or not self.c > 0:
             raise ValueError("c0 and c must be > 0")
-        if self.cn_table is not None:
-            object.__setattr__(self, "cn_table", tuple(float(v) for v in self.cn_table))
-            if any(v <= 0 for v in self.cn_table):
-                raise ValueError("all c_n must be > 0")
-        lo, hi = self.lambda1, self.lambda2
-        if lo is not None or hi is not None:
-            entries = list(self.cn_table or ()) + [self.c]
-            if lo is not None and any(v < lo for v in entries):
-                raise ValueError("coefficient table violates the lower bound lambda1")
-            if hi is not None and any(v > hi for v in entries):
-                raise ValueError("coefficient table violates the upper bound lambda2")
-
-    def cn(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("c_n is indexed from n = 1")
-        if self.cn_table is not None and n <= len(self.cn_table):
-            return self.cn_table[n - 1]
-        return self.c
 
 
 def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:
-    """Dimension-2 coefficients b_0 = c0/2, b_n = (c_n/n^(2+eps)) (2n+1)/2."""
+    """Dimension-2 coefficients b_0 = c0/2, b_n = (c/n^(2+eps)) (2n+1)/2."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     vals = [spec.c0 * 0.5]
     for n in range(1, n_max + 1):
-        vals.append(spec.cn(n) / n ** (2.0 + spec.epsilon) * (2 * n + 1) / 2.0)
+        vals.append(spec.c / n ** (2.0 + spec.epsilon) * (2 * n + 1) / 2.0)
     return CoeffSeq.floats(2, vals)
 
 
@@ -172,14 +145,6 @@ def fractal_index_estimate(seq: CoeffSeq, fit_range: tuple[int, int]) -> float:
 MODEL_NAMES = ("one", "cosine", "example31", "hs")
 
 
-def _example31_oracle(n: int, d: int) -> float | None:
-    if d == 1:
-        return 0.0 if n == 0 else 6.0 / (math.pi**2 * n**2)
-    if d >= 3 and d % 2 == 1 and n >= 1:
-        return example_closed_form(n, (d - 1) // 2)
-    return None
-
-
 def get_model(name: str, **params) -> SphericalModel:
     """Look up a registered correlation model by name.
 
@@ -201,12 +166,12 @@ def get_model(name: str, **params) -> SphericalModel:
         return model_from_seq(hs_model_seq(spec, n_trunc), "hs")
     fixed = {
         # [()] turns the 0-d result for a float angle into a scalar
-        "one": (lambda t: np.ones(np.shape(t))[()], lambda n, d: 1.0 if n == 0 else 0.0),
-        "cosine": (np.cos, lambda n, d: 1.0 if n == 1 else 0.0),
-        "example31": (example_psi, _example31_oracle),
+        "one": lambda t: np.ones(np.shape(t))[()],
+        "cosine": np.cos,
+        "example31": example_psi,
     }
     if name not in fixed:
         raise KeyError(name)
     if params:
         raise ValueError(f"model {name!r} takes no parameters")
-    return SphericalModel(name, *fixed[name])
+    return SphericalModel(name, fixed[name])

@@ -54,15 +54,10 @@ class SphericalModel:
     ``evaluator`` maps a float angle to a float and an ndarray of angles to an
     array of the same shape. One that raises TypeError or ValueError on an
     array, or returns the wrong shape, is called once per angle instead.
-
-    ``coefficient_oracle(n, d)``, when present, returns the known expansion
-    coefficient at index n for sphere dimension d, or None if no formula
-    applies; it exists so extraction results can be checked independently.
     """
 
     name: str
     evaluator: Callable
-    coefficient_oracle: Callable[[int, int], float | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -166,15 +161,7 @@ def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
     """
     b = seq.to_floats().values
     total = float(seq.total())
-
-    def oracle(n: int, d: int) -> float | None:
-        if d == seq.dimension and 0 <= n <= seq.n_max:
-            return b[n]
-        return None
-
-    return SphericalModel(
-        name, lambda theta: _clenshaw(seq.dimension, b, theta, lambda: total), oracle
-    )
+    return SphericalModel(name, lambda theta: _clenshaw(seq.dimension, b, theta, lambda: total))
 
 
 def _evaluate(model: SphericalModel, theta: np.ndarray) -> np.ndarray:

@@ -34,9 +34,8 @@ __all__ = [
 EXACT = "exact"
 FLOAT = "float"
 
-# Float-mode comparison: relative tolerance with an absolute floor near zero.
+# Float walks agree within this relative tolerance or their rounding bound.
 REL_TOL = 1e-12
-ABS_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,6 @@ class CoeffSeq:
         if self.kind == FLOAT:
             return self
         return CoeffSeq.floats(self.dimension, (float(v) for v in self.values))
-
-
-def _close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
 
 
 def _step_entry(n: int, d: int, x, y, exact: bool):
@@ -186,23 +181,41 @@ def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
     """True iff k repeated steps and the closed-form walk agree entrywise.
 
     Exact sequences must match exactly; float sequences within relative
-    1e-12 (absolute floor 1e-15 near zero).
+    1e-12 or the two routes' rounding bounds, whichever is larger.
     """
-    return _walks_agree(walk_closed_form(seq, k), walk_recursive(seq, k))
+    return _walks_agree(seq, k, walk_closed_form(seq, k).values, walk_recursive(seq, k).values)
 
 
-def _walks_agree(closed: CoeffSeq, stepped: CoeffSeq) -> bool:
-    if closed.kind == EXACT:
-        return closed.values == stepped.values
-    return all(_close(a, b) for a, b in zip(closed.values, stepped.values))
+def _rounding_bound(seq: CoeffSeq, k: int) -> list[float]:
+    """Both float routes' forward error bounds together, 2 * 4(k+1) u A_k(n),
+    where A_k is the k-step walk with every step coefficient and input taken
+    by absolute value. The step coefficients are positive and b_{n+2} is
+    subtracted, so the weight of b_{n+2i} in entry n has the sign s(n) s(n+2i),
+    s(m) = (-1)^(m//2): u A_k(n) is s(n) times the cancellation-free walk of
+    s(m) u |b_m|. The walk adds the smallest subnormal to each u |b_m| to
+    cover underflow, and overflows only where u A_k(n) itself would.
+    """
+    sign = [-1.0 if m // 2 % 2 else 1.0 for m in range(seq.n_max + 1)]
+    signed = [s * (abs(v) * 2.0**-53 + 2.0**-1074) for s, v in zip(sign, seq.values)]
+    walked = walk_recursive(CoeffSeq.floats(seq.dimension, signed), k).values
+    return [8 * (k + 1) * s * a for s, a in zip(sign, walked)]
+
+
+def _walks_agree(seq: CoeffSeq, k: int, closed: tuple, stepped: tuple) -> bool:
+    if seq.kind == EXACT:
+        return closed == stepped
+    return all(
+        math.isclose(a, b, rel_tol=REL_TOL, abs_tol=e)
+        for a, b, e in zip(closed, stepped, _rounding_bound(seq, k))
+    )
 
 
 def zero_row_identity_check(seq: CoeffSeq) -> bool:
     """Check the n = 0 output of a step against b'_0 = b_0 - 2/(d(d+3)) b_2."""
     if seq.n_max < 2:
         raise ValueError("need n_max >= 2")
-    d = seq.dimension
-    top = _step_entry(0, d, seq.values[0], seq.values[2], seq.kind == EXACT)
-    if seq.kind == EXACT:
-        return top == seq.values[0] - Fraction(2, d * (d + 3)) * seq.values[2]
-    return _close(top, seq.values[0] - 2 / (d * (d + 3)) * seq.values[2])
+    d, exact = seq.dimension, seq.kind == EXACT
+    top = _step_entry(0, d, seq.values[0], seq.values[2], exact)
+    coeff = Fraction(2, d * (d + 3)) if exact else 2 / (d * (d + 3))
+    head = CoeffSeq(d, seq.values[:3], seq.kind)
+    return _walks_agree(head, 1, (top,), (seq.values[0] - coeff * seq.values[2],))

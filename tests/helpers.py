@@ -20,3 +20,16 @@ def random_exact_signed(rnd: random.Random, n_max: int, dimension: int = 1) -> C
     """Exact sequence with signed small-rational entries."""
     vals = [Fraction(rnd.randrange(-50, 51), rnd.randrange(1, 9)) for _ in range(n_max + 1)]
     return CoeffSeq.exact(dimension, vals)
+
+
+def with_shifted_entry(walk_fn, n: int):
+    """walk_fn with output entry n moved by (|b_n| + 1) / 10^6: an injected
+    disagreement that exact and float comparisons must both reject."""
+
+    def shifted(seq, k):
+        out = walk_fn(seq, k)
+        vals = list(out.values)
+        vals[n] += (abs(vals[n]) + 1) / 10**6
+        return CoeffSeq(out.dimension, tuple(vals), out.kind)
+
+    return shifted

@@ -19,6 +19,8 @@ from dimwalk import cli, walk
 from dimwalk.seqio import read_sequence, write_sequence
 from dimwalk.walk import CoeffSeq
 
+from helpers import with_shifted_entry
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -109,27 +111,37 @@ def test_walk_delta_probe_shortens(capsys, tmp_path):
     assert walked.values == (Q(1),)
 
 
-def test_walk_verification_failure_exits_3(capsys, tmp_path):
-    # engineered cancellation: the two evaluation orders round differently
-    # around an exact zero, so the relative comparison must fail
-    vals = [
-        float.fromhex("0x1.c5f2ef799ee30p+51"),
-        float.fromhex("0x1.f031c846647d0p+51"),
-        float.fromhex("0x1.b8d78e8c7fdc1p+52"),
-        float.fromhex("0x1.5d2b958647e36p+51"),
-        float.fromhex("0x1.91856bc522c74p+52"),
-    ]
+def test_walk_verification_failure_exits_3(capsys, tmp_path, monkeypatch):
+    # a disagreement injected into one closed-form entry, on a float and on
+    # an exact input
+    monkeypatch.setattr(walk, "walk_closed_form", with_shifted_entry(walk.walk_closed_form, 0))
+    values = [Q(1, 2), Q(1, 4), Q(1, 8), Q(1, 16), Q(1, 16)]
+    for seq in (CoeffSeq.floats(1, values), CoeffSeq.exact(1, values)):
+        src = tmp_path / f"{seq.kind}.json"
+        dst = tmp_path / "out.json"
+        write_sequence(src, seq)
+        code, out, err = run(
+            capsys, "walk", "--input", str(src), "--k", "2", "--method", "both",
+            "--output", str(dst),
+        )
+        assert code == 3
+        assert "max discrepancy" in out
+        assert "disagree" in err
+        assert not dst.exists()
+
+
+@pytest.mark.parametrize("model", [["example31"], ["hs", "--epsilon", "1"]])
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_walk_both_accepts_float_model_files(capsys, tmp_path, model, k):
     src = tmp_path / "in.json"
     dst = tmp_path / "out.json"
-    write_sequence(src, CoeffSeq.floats(1, vals))
+    assert run(capsys, "model", *model, "--n-max", "100", "--output", str(src))[0] == 0
     code, out, err = run(
-        capsys, "walk", "--input", str(src), "--k", "2", "--method", "both",
+        capsys, "walk", "--input", str(src), "--k", str(k), "--method", "both",
         "--output", str(dst),
     )
-    assert code == 3
-    assert "max discrepancy" in out
-    assert "disagree" in err
-    assert not dst.exists()
+    assert code == 0, err
+    assert read_sequence(dst).values == walk.walk_closed_form(read_sequence(src), k).values
 
 
 def test_walk_input_errors(capsys, tmp_path):

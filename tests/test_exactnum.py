@@ -105,23 +105,3 @@ def test_beta_exact_rejections():
         beta(Q(1, 2), Q(3, 2))  # two genuine half-integers: value is irrational
     with pytest.raises(ValueError):
         beta(Q(1, 3), 2)
-    with pytest.raises(ValueError):
-        beta(1, 1, mode="rational")
-
-
-def test_beta_float_matches_exact_below_fifty():
-    args = [Q(j) for j in range(1, 51, 4)] + [Q(2 * j + 1, 2) for j in range(0, 50, 4)]
-    for x in args:
-        for y in (1, 2, 7, 25, 50):
-            exact = beta(x, y)
-            approx = beta(x, y, mode="float")
-            assert abs(approx - float(exact)) <= 1e-13 * float(exact)
-
-
-def test_beta_float_large_arguments():
-    # the acceptance work needs B near n ~ 1e4; compare against the exact
-    # form (exp of the lgamma combination loses ~n log(n) ulps, hence 2e-11)
-    for n, k in [(10_000, 3), (10_000, 6), (31_623, 2)]:
-        exact = float(beta(Q(n, 2), k))
-        approx = beta(n / 2, k, mode="float")
-        assert abs(approx - exact) <= 2e-11 * exact

@@ -126,14 +126,6 @@ def test_hs_spec_validation():
         HSModelSpec(epsilon=0.0)
     with pytest.raises(ValueError):
         HSModelSpec(epsilon=1.0, c0=-1.0)
-    with pytest.raises(ValueError):
-        HSModelSpec(epsilon=1.0, cn_table=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        HSModelSpec(epsilon=1.0, cn_table=(1.0, 3.0), lambda1=0.5, lambda2=2.0)
-    spec = HSModelSpec(epsilon=1.0, cn_table=(1.5, 0.7), lambda1=0.5, lambda2=2.0)
-    assert spec.cn(1) == 1.5 and spec.cn(2) == 0.7 and spec.cn(3) == 1.0
-    with pytest.raises(ValueError):
-        spec.cn(0)
 
 
 def test_hs_walked_two_dimensions_up_stays_nonnegative():
@@ -212,21 +204,8 @@ def test_registry_evaluators_take_arrays():
         assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
-def test_registry_oracles():
-    one = get_model("one")
-    assert one.coefficient_oracle(0, 5) == 1.0
-    assert one.coefficient_oracle(3, 5) == 0.0
-    cosine = get_model("cosine")
-    assert cosine.coefficient_oracle(1, 2) == 1.0
-    ex = get_model("example31")
-    assert ex.coefficient_oracle(0, 1) == 0.0
-    assert ex.coefficient_oracle(2, 3) == pytest.approx(27 / (16 * math.pi**2), rel=1e-13)
-    assert ex.coefficient_oracle(4, 2) is None
-
-
 def test_registry_hs_model():
     model = get_model("hs", epsilon=2.0, n_trunc=200)
-    assert model.coefficient_oracle(1, 2) == pytest.approx(1.5, rel=1e-15)
     # the evaluator sums the truncated series
     assert model.evaluator(0.0) == pytest.approx(
         hs_model_seq(HSModelSpec(epsilon=2.0), 200).total(), rel=1e-12
@@ -239,9 +218,6 @@ def test_registry_hs_model_is_its_series():
     thetas = np.linspace(0.0, math.pi, 17)
     assert model.evaluator(thetas).tolist() == evaluate_series(seq, thetas).tolist()
     assert model.evaluator(0.0) == seq.total()
-    assert model.coefficient_oracle(300, 2) == seq.values[300]
-    assert model.coefficient_oracle(301, 2) is None
-    assert model.coefficient_oracle(1, 3) is None
 
 
 def test_registry_errors():

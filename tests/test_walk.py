@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dimwalk.models import hs_model_seq, HSModelSpec
+from dimwalk.models import example_fourier_seq, hs_model_seq, HSModelSpec
 from dimwalk.walk import (
     CoeffSeq,
     step_up,
@@ -173,8 +173,17 @@ def test_equivalence_at_full_invariant_range():
 
 
 def test_equivalence_float_model_sequence():
-    seq = hs_model_seq(HSModelSpec(epsilon=1.5), 30)
-    assert verify_walk_equivalence(seq, 3)
+    # the two float routes round differently; entries far below 1 differ by
+    # more than 1e-12 relative but stay within the rounding bound
+    for seq in (hs_model_seq(HSModelSpec(epsilon=1.0), 100), example_fourier_seq(100)):
+        for k in (3, 4, 8, 16):
+            assert verify_walk_equivalence(seq, k) is True, (seq.dimension, k)
+
+
+def test_equivalence_float_near_overflow():
+    # the walks cancel to 0, while the absolute walk A_k exceeds the float range
+    seq = CoeffSeq.floats(1, [0.0, 1e308, 0.0, 1e308])
+    assert verify_walk_equivalence(seq, 1) is True
 
 
 def test_zero_row_identity():

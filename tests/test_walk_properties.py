@@ -1,21 +1,31 @@
 """Property tests for the walks on random small inputs: the exact closed form
-equals k exact steps, exact walks are linear, and the float routes give,
-bit for bit, what the displayed float expressions give.
+equals k exact steps, exact walks are linear, the float routes give, bit for
+bit, what the displayed float expressions give, and each float route stays
+within its rounding bound of the exact walk.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dimwalk.walk import CoeffSeq, step_up, walk_closed_form  # noqa: E402
+from dimwalk.walk import (  # noqa: E402
+    CoeffSeq,
+    _rounding_bound,
+    step_up,
+    walk_closed_form,
+    walk_recursive,
+)
 
 from oracles import even_row_reference, odd_row_reference  # noqa: E402
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+# magnitudes down to the subnormal range, where rounding is absolute
+TINY = st.floats(min_value=-(2.0**-1018), max_value=2.0**-1018)
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
@@ -95,3 +105,16 @@ def test_float_walks_match_displayed_expressions_bitwise(case):
         seq = step_up(seq)
         expected = _float_step_reference(expected, d + 2 * step)
         assert _bits(seq.values) == _bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(st.one_of(FLOATS, TINY)))
+def test_float_walks_within_rounding_bound_of_exact_walk(case):
+    d, k, (values,) = case
+    seq = CoeffSeq.floats(d, values)
+    exact = walk_closed_form(CoeffSeq.exact(d, [Fraction(v) for v in values]), k).values
+    # _rounding_bound covers both routes together; each route takes half
+    bounds = _rounding_bound(seq, k)
+    for route in (walk_closed_form, walk_recursive):
+        for got, want, bound in zip(route(seq, k).values, exact, bounds):
+            assert abs(Fraction(got) - want) <= Fraction(bound) / 2
