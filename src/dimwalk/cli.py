@@ -89,8 +89,8 @@ def cmd_walk(args) -> int:
     if args.method in ("recursive", "both"):
         stepped = walk.walk_recursive(seq, args.k)
     if args.method == "both":
-        diffs = [float(abs(a - b)) for a, b in zip(closed.values, stepped.values)]
-        print(f"max discrepancy: {max(diffs)!r}")
+        gap = max(abs(a - b) for a, b in zip(closed.values, stepped.values))
+        print(f"max discrepancy: {float(gap)!r}")
         if not walk._walks_agree(seq, args.k, closed.values, stepped.values):
             return _fail("closed-form and recursive walks disagree", EXIT_WALK_VERIFY)
     seqio.write_sequence(args.output, closed if closed is not None else stepped)

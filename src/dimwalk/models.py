@@ -103,12 +103,21 @@ class HSModelSpec:
 
 
 def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:
-    """Dimension-2 coefficients b_0 = c0/2, b_n = (c/n^(2+eps)) (2n+1)/2."""
+    """Dimension-2 coefficients b_0 = c0/2, b_n = (c/n^(2+eps)) (2n+1)/2.
+
+    Raises ValueError at the first n where n^(2+eps) exceeds the float range.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     vals = [spec.c0 * 0.5]
     for n in range(1, n_max + 1):
-        vals.append(spec.c / n ** (2.0 + spec.epsilon) * (2 * n + 1) / 2.0)
+        try:
+            vals.append(spec.c / n ** (2.0 + spec.epsilon) * (2 * n + 1) / 2.0)
+        except OverflowError:
+            raise ValueError(
+                f"epsilon = {spec.epsilon!r} is too large: n^(2+epsilon) overflows "
+                f"a float at n = {n}"
+            ) from None
     return CoeffSeq.floats(2, vals)
 
 

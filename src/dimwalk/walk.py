@@ -9,7 +9,11 @@ Two routes compute the same walk: repeated application of the two-step
 recursion (``walk_recursive``, k calls of ``step_up``) and the closed-form
 weight rows (``walk_closed_form``). ``verify_walk_equivalence`` runs both
 and compares.
-All transformations are pure; rows are computed independently of each other.
+Exact walks build one reduced Fraction per entry. Float walks are numpy
+array chains over the whole index range: a step is one vector expression,
+and the closed form builds its float weights over n from w_0 and the term
+ratio w_(i+1)/w_i, so a float walk builds no exact weight row (apart from
+the piecewise odd n = 0 row). All transformations are pure.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .weights import even_weights, odd_weights
 
@@ -85,25 +91,40 @@ class CoeffSeq:
         return CoeffSeq.floats(self.dimension, (float(v) for v in self.values))
 
 
-def _step_entry(n: int, d: int, x, y, exact: bool):
-    """Output entry n of a d -> d+2 step from x = b_n and y = b_{n+2}.
+def _step_entry(n: int, d: int, x: Fraction, y: Fraction) -> Fraction:
+    """Exact output entry n of a d -> d+2 step from x = b_n and y = b_{n+2}.
 
     With the step written as b'_n = (p/q) b_n - (r/s) b_{n+2} in integers
-    p, q, r, s, an exact entry is one reduced Fraction built from integer
-    numerators and denominators. Float entries keep the displayed operation
-    order of ``step_up``.
+    p, q, r, s, the entry is one reduced Fraction built from integer
+    numerators and denominators.
     """
     if d == 1:
         p, q, r, s = (1, 1, 1, 2) if n == 0 else (n + 1, 2, n + 1, 2)
     else:
         p, q = (n + d - 1) * (n + d), d * (2 * n + d - 1)
         r, s = (n + 1) * (n + 2), d * (2 * n + d + 3)
-    if exact:
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        return Fraction(p * s * xn * yd - r * q * yn * xd, q * s * xd * yd)
-    if d == 1:
-        return x - 0.5 * y if n == 0 else p / q * (x - y)
-    return p / q * x - r / s * y
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return Fraction(p * s * xn * yd - r * q * yn * xd, q * s * xd * yd)
+
+
+def _float_steps(v: np.ndarray, d: int, k: int) -> np.ndarray:
+    """k float steps from dimension d, each one array expression in the
+    displayed operation order of ``step_up``. Overflow gives inf silently;
+    ``CoeffSeq`` rejects it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            n = np.arange(len(v) - 2)
+            x, y = v[:-2], v[2:]
+            if d == 1:
+                head = x[0] - 0.5 * y[0]
+                v = (n + 1) / 2 * (x - y)
+                v[0] = head
+            else:
+                a = (n + d - 1) * (n + d) / (d * (2 * n + d - 1))
+                b = (n + 1) * (n + 2) / (d * (2 * n + d + 3))
+                v = a * x - b * y
+            d += 2
+    return v
 
 
 def step_up(seq: CoeffSeq) -> CoeffSeq:
@@ -121,10 +142,11 @@ def step_up(seq: CoeffSeq) -> CoeffSeq:
     """
     if seq.n_max < 2:
         raise ValueError("need n_max >= 2 to form any output entry")
-    d = seq.dimension
-    exact = seq.kind == EXACT
-    v = seq.values
-    out = tuple(_step_entry(n, d, v[n], v[n + 2], exact) for n in range(seq.n_max - 1))
+    d, v = seq.dimension, seq.values
+    if seq.kind == EXACT:
+        out = tuple(_step_entry(n, d, v[n], v[n + 2]) for n in range(seq.n_max - 1))
+    else:
+        out = tuple(_float_steps(np.array(v), d, 1).tolist())
     return CoeffSeq(d + 2, out, seq.kind)
 
 
@@ -144,11 +166,45 @@ def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
     return seq
 
 
+def _float_weight_rows(d: int, k: int, count: int):
+    """Yield the float weight rows w_0, ..., w_k of a walk from dimension d,
+    each an array over n = 0..count-1.
+
+    w_0 is a product of k factors, and each later row is the one before times
+    the term ratio:
+
+        odd:  w_0 = prod_j (n+k+j) / (2(2j+1))
+              w_(i+1)/w_i = -(k-i)/(i+1) * (n+2i+2)/(n+2i) * (n+i)/(n+i+k+1)
+        even: w_0 = prod_j (n+2j+1)(n+2j+2) / (2(j+1)(2n+2j+1))
+              w_(i+1)/w_i = -(k-i)/(i+1) * (n+i+1/2)/(n+k+i+3/2)
+
+    Every factor is a quotient of integers that doubles hold exactly, so it
+    is rounded once. The odd n = 0 row is the exact piecewise row, rounded.
+    """
+    odd = d == 1
+    n = np.arange(odd, count, dtype=float)  # the product form of odd rows needs n >= 1
+    w = np.ones_like(n)
+    for j in range(k):
+        if odd:
+            w *= (n + k + j) / (2 * (2 * j + 1))
+        else:
+            w *= (n + 2 * j + 1) * (n + 2 * j + 2) / (2 * (j + 1) * (2 * n + 2 * j + 1))
+    head = odd_weights(0, k).weights if odd else ()
+    for i in range(k + 1):
+        yield np.concatenate(([float(head[i])], w)) if odd else w
+        if odd:
+            w = w * (-(k - i) * (n + 2 * i + 2) * (n + i)
+                     / ((i + 1) * (n + 2 * i) * (n + i + k + 1)))
+        else:
+            w = w * (-(k - i) * (2 * n + 2 * i + 1) / ((i + 1) * (2 * n + 2 * k + 2 * i + 3)))
+
+
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     """Walk a dimension-1 or dimension-2 sequence up by 2k in one shot.
 
     Output entry n is sum_i w_i(n,k) * values[n+2i] with the odd- or
-    even-target weight row; output n_max = n_max - 2k.
+    even-target weight row; output n_max = n_max - 2k. Float sequences take
+    the weights from ``_float_weight_rows`` and sum in order of i.
     """
     if seq.dimension not in (1, 2):
         raise ValueError(
@@ -156,25 +212,27 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
             "use the recursion for higher dimensions"
         )
     _check_walk(seq, k)
+    count = seq.n_max - 2 * k + 1
+    if seq.kind == FLOAT:
+        b = np.array(seq.values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _float_weight_rows(seq.dimension, k, count)
+            out = next(rows) * b[:count]
+            for i, w in enumerate(rows, 1):
+                out += w * b[2 * i : 2 * i + count]
+        return CoeffSeq(seq.dimension + 2 * k, tuple(out.tolist()), FLOAT)
     rows = odd_weights if seq.dimension == 1 else even_weights
-    exact = seq.kind == EXACT
     out = []
-    for n in range(seq.n_max - 2 * k + 1):
-        row = rows(n, k)
-        if exact:
-            # sum w_i * b_{n+2i} as one unreduced integer fraction, reduced once
-            num, den = 0, 1
-            for i, w in enumerate(row.weights):
-                v = seq.values[n + 2 * i]
-                if v:
-                    a, b = w.numerator * v.numerator, w.denominator * v.denominator
-                    num, den = num * b + a * den, den * b
-            out.append(Fraction(num, den))
-        else:
-            out.append(
-                math.fsum(w * seq.values[n + 2 * i] for i, w in enumerate(row.as_floats()))
-            )
-    return CoeffSeq(seq.dimension + 2 * k, tuple(out), seq.kind)
+    for n in range(count):
+        # sum w_i * b_{n+2i} as one unreduced integer fraction, reduced once
+        num, den = 0, 1
+        for i, w in enumerate(rows(n, k).weights):
+            v = seq.values[n + 2 * i]
+            if v:
+                a, b = w.numerator * v.numerator, w.denominator * v.denominator
+                num, den = num * b + a * den, den * b
+        out.append(Fraction(num, den))
+    return CoeffSeq(seq.dimension + 2 * k, tuple(out), EXACT)
 
 
 def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
@@ -186,7 +244,7 @@ def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
     return _walks_agree(seq, k, walk_closed_form(seq, k).values, walk_recursive(seq, k).values)
 
 
-def _rounding_bound(seq: CoeffSeq, k: int) -> list[float]:
+def _rounding_bound(seq: CoeffSeq, k: int) -> np.ndarray:
     """Both float routes' forward error bounds together, 2 * 4(k+1) u A_k(n),
     where A_k is the k-step walk with every step coefficient and input taken
     by absolute value. The step coefficients are positive and b_{n+2} is
@@ -195,27 +253,29 @@ def _rounding_bound(seq: CoeffSeq, k: int) -> list[float]:
     s(m) u |b_m|. The walk adds the smallest subnormal to each u |b_m| to
     cover underflow, and overflows only where u A_k(n) itself would.
     """
-    sign = [-1.0 if m // 2 % 2 else 1.0 for m in range(seq.n_max + 1)]
-    signed = [s * (abs(v) * 2.0**-53 + 2.0**-1074) for s, v in zip(sign, seq.values)]
-    walked = walk_recursive(CoeffSeq.floats(seq.dimension, signed), k).values
-    return [8 * (k + 1) * s * a for s, a in zip(sign, walked)]
+    sign = np.where(np.arange(seq.n_max + 1) // 2 % 2, -1.0, 1.0)
+    signed = sign * (np.abs(seq.values) * 2.0**-53 + 2.0**-1074)
+    walked = _float_steps(signed, seq.dimension, k)
+    return 8 * (k + 1) * sign[: len(walked)] * walked
 
 
 def _walks_agree(seq: CoeffSeq, k: int, closed: tuple, stepped: tuple) -> bool:
+    """Exact walks must be equal. Float entries a, b pass iff
+    math.isclose(a, b, rel_tol=REL_TOL, abs_tol=bound), applied over arrays."""
     if seq.kind == EXACT:
         return closed == stepped
-    return all(
-        math.isclose(a, b, rel_tol=REL_TOL, abs_tol=e)
-        for a, b, e in zip(closed, stepped, _rounding_bound(seq, k))
-    )
+    a, b = np.array(closed, dtype=float), np.array(stepped, dtype=float)
+    tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), _rounding_bound(seq, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = np.isfinite(a) & np.isfinite(b) & (np.abs(b - a) <= tol)
+    return bool(np.all((a == b) | close))
 
 
 def zero_row_identity_check(seq: CoeffSeq) -> bool:
     """Check the n = 0 output of a step against b'_0 = b_0 - 2/(d(d+3)) b_2."""
     if seq.n_max < 2:
         raise ValueError("need n_max >= 2")
-    d, exact = seq.dimension, seq.kind == EXACT
-    top = _step_entry(0, d, seq.values[0], seq.values[2], exact)
-    coeff = Fraction(2, d * (d + 3)) if exact else 2 / (d * (d + 3))
+    d = seq.dimension
+    coeff = Fraction(2, d * (d + 3)) if seq.kind == EXACT else 2 / (d * (d + 3))
     head = CoeffSeq(d, seq.values[:3], seq.kind)
-    return _walks_agree(head, 1, (top,), (seq.values[0] - coeff * seq.values[2],))
+    return _walks_agree(head, 1, step_up(head).values, (seq.values[0] - coeff * seq.values[2],))

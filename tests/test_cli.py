@@ -465,6 +465,17 @@ def test_model_argument_errors(capsys, tmp_path):
     )[0] == 2
 
 
+def test_model_hs_overflowing_epsilon_exits_2(capsys, tmp_path):
+    dst = tmp_path / "x.json"
+    code, out, err = run(capsys, "model", "hs", "--epsilon", "400", "--n-max", "10",
+                         "--output", str(dst))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: epsilon = 400.0") and err.count("\n") == 1
+    assert "n = 6" in err
+    assert not dst.exists()
+
+
 def test_model_help_lists_both_models(capsys):
     code, out, _ = run(capsys, "model", "--help")
     assert code == 0

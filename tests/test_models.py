@@ -121,6 +121,13 @@ def test_hs_seq_frozen_values():
     assert seq.values[2] == pytest.approx(5 / 16, rel=1e-15)
 
 
+def test_hs_seq_overflowing_epsilon_names_epsilon_and_n():
+    # 5^402 fits in a float, 6^402 does not
+    with pytest.raises(ValueError, match=r"epsilon = 400\.0 .* at n = 6$"):
+        hs_model_seq(HSModelSpec(epsilon=400.0), 10)
+    assert len(hs_model_seq(HSModelSpec(epsilon=400.0), 5).values) == 6
+
+
 def test_hs_spec_validation():
     with pytest.raises(ValueError):
         HSModelSpec(epsilon=0.0)

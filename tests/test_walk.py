@@ -2,14 +2,19 @@
 equivalence, truncation bookkeeping, linearity, and the n = 0 identity.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from dimwalk import walk as walk_module
 from dimwalk.models import example_fourier_seq, hs_model_seq, HSModelSpec
 from dimwalk.walk import (
     CoeffSeq,
+    _float_weight_rows,
+    _rounding_bound,
     step_up,
     verify_walk_equivalence,
     walk_closed_form,
@@ -184,6 +189,43 @@ def test_equivalence_float_near_overflow():
     # the walks cancel to 0, while the absolute walk A_k exceeds the float range
     seq = CoeffSeq.floats(1, [0.0, 1e308, 0.0, 1e308])
     assert verify_walk_equivalence(seq, 1) is True
+
+
+@pytest.mark.parametrize("k", (1, 4, 16, 32, 50))
+def test_float_weight_rows_within_rounding_of_exact_rows(k):
+    # the term-ratio rows against the exact rows, built uncached
+    count, u = 3001, 2.0**-53
+    for d, exact_row in ((1, odd_weights.__wrapped__), (2, even_weights.__wrapped__)):
+        got = np.array(list(_float_weight_rows(d, k, count)))
+        want = np.array([exact_row(n, k).as_floats() for n in range(count)]).T
+        assert np.all(np.abs(got - want) <= 2 * (k + 1) * u * np.abs(want)), d
+
+
+def test_float_closed_form_builds_no_exact_rows_but_the_odd_head(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        def wrapper(n, k):
+            calls.append((rows.__name__, n, k))
+            return rows(n, k)
+
+        return wrapper
+
+    monkeypatch.setattr(walk_module, "odd_weights", counted(odd_weights))
+    monkeypatch.setattr(walk_module, "even_weights", counted(even_weights))
+    walk_closed_form(example_fourier_seq(2000), 16)
+    assert calls == [("odd_weights", 0, 16)]
+    walk_closed_form(hs_model_seq(HSModelSpec(epsilon=1.0), 2000), 16)
+    assert len(calls) == 1
+
+
+def test_float_closed_form_at_k50_within_half_the_rounding_bound():
+    for seq in (example_fourier_seq(300), hs_model_seq(HSModelSpec(epsilon=1.0), 300)):
+        got = walk_closed_form(seq, 50).values
+        exact = walk_closed_form(CoeffSeq.exact(seq.dimension, map(Q, seq.values)), 50).values
+        assert all(math.isfinite(g) for g in got)
+        for g, e, b in zip(got, exact, _rounding_bound(seq, 50)):
+            assert abs(Q(g) - e) <= Q(b) / 2
 
 
 def test_zero_row_identity():

@@ -4,7 +4,6 @@ bit, what the displayed float expressions give, and each float route stays
 within its rounding bound of the exact walk.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from dimwalk.walk import (  # noqa: E402
     walk_recursive,
 )
 
-from oracles import even_row_reference, odd_row_reference  # noqa: E402
+from oracles import odd_row_reference  # noqa: E402
 
 RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -62,11 +61,34 @@ def _float_step_reference(v, d):
 
 
 def _float_closed_reference(v, d, k):
-    rows = odd_row_reference if d == 1 else even_row_reference
-    return [
-        math.fsum(float(w) * v[n + 2 * i] for i, w in enumerate(rows(n, k)))
-        for n in range(len(v) - 2 * k)
-    ]
+    """The float closed form entry by entry: w_0 as a product of k rounded
+    factors, each later weight the one before times its rounded term ratio,
+    the terms w_i * b_{n+2i} summed in order of i. The odd n = 0 row is the
+    exact piecewise row, rounded."""
+    out = []
+    for n in range(len(v) - 2 * k):
+        if d == 1 and n == 0:
+            ws = [float(w) for w in odd_row_reference(0, k)]
+        else:
+            w = 1.0
+            for j in range(k):
+                if d == 1:
+                    w *= (n + k + j) / (2 * (2 * j + 1))
+                else:
+                    w *= (n + 2 * j + 1) * (n + 2 * j + 2) / (2 * (j + 1) * (2 * n + 2 * j + 1))
+            ws = [w]
+            for i in range(k):
+                if d == 1:
+                    r = (-(k - i) * (n + 2 * i + 2) * (n + i)
+                         / ((i + 1) * (n + 2 * i) * (n + i + k + 1)))
+                else:
+                    r = -(k - i) * (2 * n + 2 * i + 1) / ((i + 1) * (2 * n + 2 * k + 2 * i + 3))
+                ws.append(ws[-1] * r)
+        total = ws[0] * v[n]
+        for i in range(1, k + 1):
+            total += ws[i] * v[n + 2 * i]
+        out.append(total)
+    return out
 
 
 def _bits(values):
