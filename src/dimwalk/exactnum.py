@@ -4,7 +4,8 @@ formulas are assembled from.
 
 Everything here is a pure function on immutable values, so all operations are
 safe under arbitrary concurrent use. Results are exact ``Fraction``/``int``
-values.
+values, apart from ``_float_tuple``, the one range-checked conversion of exact
+values to floats.
 """
 
 from __future__ import annotations
@@ -20,6 +21,21 @@ __all__ = [
     "frisch_identity_sides",
     "beta",
 ]
+
+# the least magnitude that float() rounds to infinity (and so overflows)
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _float_tuple(values, what: str) -> tuple[float, ...]:
+    """``tuple(map(float, values))`` for a sequence of numbers, raising a
+    ValueError that names the first entry past the float range in place of
+    float()'s OverflowError."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if abs(v) >= _FLOAT_LIMIT)
+        raise ValueError(f"{what} {i} lies outside the float range") from None
+
 
 def double_factorial(k: int) -> int:
     """Odd double factorial of order k: (2k-1)!! = prod_{i=1..k} (2i-1).

@@ -136,7 +136,7 @@ def fractal_index_estimate(seq: CoeffSeq, fit_range: tuple[int, int]) -> float:
     if not 1 <= lo < hi <= seq.n_max:
         raise ValueError("fit range must satisfy 1 <= n_lo < n_hi <= n_max")
     ns = np.arange(lo, hi + 1)
-    bs = np.array([float(v) for v in seq.values[lo : hi + 1]])
+    bs = np.array(seq.to_floats().values[lo : hi + 1])
     if np.any(bs <= 0):
         raise ValueError("fit range contains nonpositive entries")
     slope = float(np.polyfit(np.log(ns), np.log(bs), 1)[0])

@@ -285,7 +285,7 @@ class MembershipReport:
 
 def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
     """Report nonnegativity violations, |sum - 1|, and parity counts."""
-    vals = [float(v) for v in seq.values]
+    vals = seq.to_floats().values
     violations = tuple(n for n, v in enumerate(vals) if v < -NONNEG_TOL)
     defect = float(abs(seq.total() - 1))
     positive_even = sum(1 for n, v in enumerate(vals) if n % 2 == 0 and v > 0)

@@ -11,9 +11,8 @@ weight rows (``walk_closed_form``). ``verify_walk_equivalence`` runs both
 and compares.
 Exact walks build one reduced Fraction per entry. Float walks are numpy
 array chains over the whole index range: a step is one vector expression,
-and the closed form builds its float weights over n from w_0 and the term
-ratio w_(i+1)/w_i, so a float walk builds no exact weight row (apart from
-the piecewise odd n = 0 row). All transformations are pure.
+and the closed form rounds the factors and term ratios of the weight rows
+(``weights._row_terms``) over n. All transformations are pure.
 """
 
 from __future__ import annotations
@@ -21,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .weights import even_weights, odd_weights
+from .exactnum import _float_tuple
+from .weights import EVEN, ODD, _row_terms, even_weights, odd_weights
 
 __all__ = [
     "EXACT",
@@ -62,8 +63,8 @@ class CoeffSeq:
         if self.kind == EXACT:
             vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         else:
-            vals = tuple(float(v) for v in self.values)
-            if not all(math.isfinite(v) for v in vals):
+            vals = _float_tuple(self.values, "value n =")
+            if not all(map(math.isfinite, vals)):
                 raise ValueError("all values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -86,9 +87,10 @@ class CoeffSeq:
         return math.fsum(self.values)
 
     def to_floats(self) -> "CoeffSeq":
+        """The sequence as floats; ValueError names the first value past the float range."""
         if self.kind == FLOAT:
             return self
-        return CoeffSeq.floats(self.dimension, (float(v) for v in self.values))
+        return CoeffSeq.floats(self.dimension, self.values)
 
 
 def _step_entry(n: int, d: int, x: Fraction, y: Fraction) -> Fraction:
@@ -167,36 +169,18 @@ def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
 
 
 def _float_weight_rows(d: int, k: int, count: int):
-    """Yield the float weight rows w_0, ..., w_k of a walk from dimension d,
-    each an array over n = 0..count-1.
-
-    w_0 is a product of k factors, and each later row is the one before times
-    the term ratio:
-
-        odd:  w_0 = prod_j (n+k+j) / (2(2j+1))
-              w_(i+1)/w_i = -(k-i)/(i+1) * (n+2i+2)/(n+2i) * (n+i)/(n+i+k+1)
-        even: w_0 = prod_j (n+2j+1)(n+2j+2) / (2(j+1)(2n+2j+1))
-              w_(i+1)/w_i = -(k-i)/(i+1) * (n+i+1/2)/(n+k+i+3/2)
-
-    Every factor is a quotient of integers that doubles hold exactly, so it
-    is rounded once. The odd n = 0 row is the exact piecewise row, rounded.
-    """
-    odd = d == 1
-    n = np.arange(odd, count, dtype=float)  # the product form of odd rows needs n >= 1
-    w = np.ones_like(n)
-    for j in range(k):
-        if odd:
-            w *= (n + k + j) / (2 * (2 * j + 1))
-        else:
-            w *= (n + 2 * j + 1) * (n + 2 * j + 2) / (2 * (j + 1) * (2 * n + 2 * j + 1))
-    head = odd_weights(0, k).weights if odd else ()
-    for i in range(k + 1):
-        yield np.concatenate(([float(head[i])], w)) if odd else w
-        if odd:
-            w = w * (-(k - i) * (n + 2 * i + 2) * (n + i)
-                     / ((i + 1) * (n + 2 * i) * (n + i + k + 1)))
-        else:
-            w = w * (-(k - i) * (2 * n + 2 * i + 1) / ((i + 1) * (2 * n + 2 * k + 2 * i + 3)))
+    """Yield the float weight rows w_0, ..., w_k over n = 0..count-1 from the
+    rounded quotients of ``_row_terms``; the odd n = 0 column is the exact
+    piecewise row, rounded."""
+    factors, ratios = _row_terms(ODD if d == 1 else EVEN, np.arange(count, dtype=float), k)
+    w0 = np.ones(count)
+    for num, den in factors:
+        w0 *= num / den
+    head = odd_weights(0, k).as_floats() if d == 1 else None
+    for i, w in enumerate(accumulate((a / b for a, b in ratios), np.multiply, initial=w0)):
+        if head:
+            w[0] = head[i]
+        yield w
 
 
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:

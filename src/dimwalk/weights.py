@@ -6,10 +6,11 @@ dimensions up as a linear combination of base-dimension coefficients:
     b[n, 2k+1] = sum_i w_i * b[n+2i, 1]     odd-target rows (Fourier base)
     b[n, 2k+2] = sum_i w_i * b[n+2i, 2]     even-target rows (Legendre base)
 
-All weights are exact rationals, built from plain integer products with one
-reduced Fraction per entry; no Fraction arithmetic happens along the way.
-Rows are memoised per (n, k); the cache is fill-once and read-only, so
-concurrent use behaves as if it were absent.
+One definition, ``_row_terms``, writes a row as w_0, a product of k integer
+quotients, and k integer term ratios w_(i+1)/w_i, for an int n or a float
+array n (the float walks). Exact rows multiply these integers into one
+reduced Fraction per entry. Rows are memoised per (n, k); the cache is
+fill-once and read-only, so concurrent use behaves as if it were absent.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import double_factorial, pochhammer
+from .exactnum import _float_tuple, double_factorial, pochhammer
 
 __all__ = [
     "ODD",
@@ -51,7 +52,8 @@ class WalkWeights:
             raise ValueError("a weight row must have exactly k+1 entries")
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.weights)
+        """The weights as floats; ValueError names the first one past the float range."""
+        return _float_tuple(self.weights, "weight i =")
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -59,6 +61,41 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1 (the k = 0 walk is the identity)")
+
+
+def _row_terms(parity: str, n, k: int):
+    """Iterators over the k factors (num, den) of w_0 and the k term ratios
+    (num, den) of w_(i+1)/w_i of a row, for an int n or a float array n:
+
+        odd:  w_0 = prod_j (n+k+j) / (2(2j+1))
+              w_(i+1)/w_i = -(k-i)/(i+1) * (n+2i+2)/(n+2i) * (n+i)/(n+i+k+1)
+        even: w_0 = prod_j (n+2j+1)(n+2j+2) / (2(j+1)(2n+2j+1))
+              w_(i+1)/w_i = -(k-i)/(i+1) * (2n+2i+1)/(2n+2k+2i+3)
+
+    The odd (n+i)/(n+2i) is written as 1 at i = 0, so odd n = 0 stays finite.
+    Every num and den is an integer; doubles hold them exactly below 2^53.
+    """
+    if parity == ODD:
+        factors = ((n + k + j, 2 * (2 * j + 1)) for j in range(k))
+        ratios = ((-(k - i) * (n + 2 * i + 2) * (n + i if i else 1),
+                   (i + 1) * (n + 2 * i if i else 1) * (n + i + k + 1)) for i in range(k))
+    else:
+        factors = (((n + 2 * j + 1) * (n + 2 * j + 2), 2 * (j + 1) * (2 * n + 2 * j + 1))
+                   for j in range(k))
+        ratios = ((-(k - i) * (2 * n + 2 * i + 1), (i + 1) * (2 * n + 2 * k + 2 * i + 3))
+                  for i in range(k))
+    return factors, ratios
+
+
+def _exact_row(parity: str, n: int, k: int) -> list[Fraction]:
+    """w_0..w_k from ``_row_terms``, each one Fraction of integer products."""
+    _check_nk(n, k)
+    factors, ratios = _row_terms(parity, n, k)
+    nums, dens = zip(*factors)
+    ws = [Fraction(math.prod(nums), math.prod(dens))]
+    for a, b in ratios:
+        ws.append(Fraction(ws[-1].numerator * a, ws[-1].denominator * b))
+    return ws
 
 
 @lru_cache(maxsize=None)
@@ -71,19 +108,11 @@ def odd_weights(n: int, k: int) -> WalkWeights:
                      * (n+1)_(2k-1) / (n+i)_(k+1)
 
     except for the piecewise value 1 at (i, n) = (0, 0), which is a
-    definition rather than a limit of the product. The rising factorials are
-    integer falling-factorial ratios, (x)_(m) = perm(x+m-1, m).
+    definition rather than a limit of the product.
     """
-    _check_nk(n, k)
-    top = (n + k) * math.perm(n + 2 * k - 1, 2 * k - 1)
-    scale = 2**k * double_factorial(k)
-    ws = []
-    for i in range(k + 1):
-        if i == 0 and n == 0:
-            ws.append(Fraction(1))
-            continue
-        num = (-1) ** i * math.comb(k, i) * (n + 2 * i) * top
-        ws.append(Fraction(num, scale * math.perm(n + i + k, k + 1)))
+    ws = _exact_row(ODD, n, k)
+    if n == 0:
+        ws[0] = Fraction(1)
     return WalkWeights(n=n, k=k, parity=ODD, weights=tuple(ws))
 
 
@@ -95,21 +124,8 @@ def even_weights(n: int, k: int) -> WalkWeights:
 
         (-1)^i * (2k-1)!!/2^k * C(k,i) * C(2k+n,n)
                / [ (n+i+1/2)_(k-i) * (n+k+3/2)_(i) ]
-
-    The half-integer Pochhammer product in the denominator is 2^-k times the
-    integer P_i, the product of the odd numbers from 2n+2i+1 to 2n+2k+2i+1
-    without 2n+2k+1. The 2^k factors cancel, and P_(i+1) follows from P_i by
-    one exact multiply and one exact divide, so a row costs O(k) integer
-    operations.
     """
-    _check_nk(n, k)
-    pref = double_factorial(k) * math.comb(2 * k + n, n)
-    odd_product = math.prod(range(2 * n + 1, 2 * n + 2 * k, 2))  # P_0
-    ws = []
-    for i in range(k + 1):
-        ws.append(Fraction((-1) ** i * math.comb(k, i) * pref, odd_product))
-        odd_product = odd_product * (2 * (n + k + i) + 3) // (2 * (n + i) + 1)
-    return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(ws))
+    return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(_exact_row(EVEN, n, k)))
 
 
 def odd_weight_endpoints(n: int, k: int) -> tuple[Fraction, Fraction]:

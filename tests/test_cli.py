@@ -68,6 +68,14 @@ def test_coeffs_bad_arguments(capsys):
     assert run(capsys, "coeffs", "--parity", "odd", "--k", "2")[0] == 2
 
 
+def test_coeffs_weight_past_float_range_exits_2(capsys):
+    # w_0 = (n+k)_(k) / (2^k (2k-1)!!) is about 10^356 here
+    code, out, err = run(capsys, "coeffs", "--parity", "odd", "--n", "1000000000", "--k", "50")
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight i = 0 lies outside the float range\n"
+
+
 # -- walk -------------------------------------------------------------------
 
 
@@ -338,6 +346,23 @@ def test_eval_legendre_value(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--input", str(src), "--theta", str(math.pi / 2))
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[1]) == pytest.approx(-0.5, abs=1e-12)
+
+
+def _exact_file_past_float_range(tmp_path):
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(
+        {"dimension": 1, "n_max": 3, "kind": "exact", "values": ["1/2", "1/4", "1e400", "1/4"]}
+    ))
+    return str(src)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--theta", "0.5"], ["verify"]])
+def test_exact_value_past_float_range_exits_2(capsys, tmp_path, argv):
+    src = _exact_file_past_float_range(tmp_path)
+    code, out, err = run(capsys, *argv, "--input", src)
+    assert code == 2
+    assert out == ""
+    assert err == "error: value n = 2 lies outside the float range\n"
 
 
 def test_eval_rejects_out_of_range(capsys, tmp_path):

@@ -250,6 +250,14 @@ def test_coeffseq_validation_and_total():
         CoeffSeq(1, (1.0,), "approximate")
     with pytest.raises(ValueError):
         CoeffSeq.floats(1, [float("nan")])
+    for bad in (float("nan"), -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CoeffSeq.floats(1, [np.float64(0.5), 2, bad])
+    mixed = CoeffSeq.floats(1, [np.float64(0.5), 2, Q(1, 4)])
+    assert mixed.values == (0.5, 2.0, 0.25)
+    assert all(type(v) is float for v in mixed.values)
+    with pytest.raises(ValueError, match="n = 1 lies outside the float range"):
+        CoeffSeq.floats(1, [0, 10**400])
     with pytest.raises(ValueError):
         CoeffSeq.exact(1, [])
     seq = CoeffSeq.exact(1, [Q(1, 3), Q(1, 3), Q(1, 3)])
