@@ -4,8 +4,8 @@ formulas are assembled from.
 
 Everything here is a pure function on immutable values, so all operations are
 safe under arbitrary concurrent use. Results are exact ``Fraction``/``int``
-values, apart from ``_float_tuple``, the one range-checked conversion of exact
-values to floats.
+values, apart from ``_float_tuple`` and ``_to_float``, the range-checked
+conversions of exact values to floats.
 """
 
 from __future__ import annotations
@@ -22,19 +22,24 @@ __all__ = [
     "beta",
 ]
 
-# the least magnitude that float() rounds to infinity (and so overflows)
-_FLOAT_LIMIT = 2**1024 - 2**970
+def _to_float(x, what: str) -> float:
+    """float(x), raising a ValueError that names what in place of float()'s
+    OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} lies outside the float range") from None
 
 
 def _float_tuple(values, what: str) -> tuple[float, ...]:
-    """``tuple(map(float, values))`` for a sequence of numbers, raising a
-    ValueError that names the first entry past the float range in place of
-    float()'s OverflowError."""
+    """``tuple(map(float, values))`` for a sequence of numbers; ``_to_float``
+    names the first entry past the float range."""
     try:
         return tuple(map(float, values))
     except OverflowError:
-        i = next(i for i, v in enumerate(values) if abs(v) >= _FLOAT_LIMIT)
-        raise ValueError(f"{what} {i} lies outside the float range") from None
+        for i, v in enumerate(values):
+            _to_float(v, f"{what} {i}")
+        raise
 
 
 def double_factorial(k: int) -> int:

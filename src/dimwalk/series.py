@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exactnum import _to_float
 from .walk import CoeffSeq
 
 __all__ = [
@@ -132,16 +133,18 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
-    if scalar and theta == 0.0:
-        return float(total())
+    at_zero = np.asarray(theta) == 0.0
+    # total() first: it may raise, and the loop may overflow with a warning
+    psi0 = total() if at_zero.any() else None
+    if scalar and psi0 is not None:
+        return psi0
     x = math.cos(theta) if scalar else np.cos(np.asarray(theta, dtype=float))
     n_max = len(b) - 1
     a, c = _recurrence(d, n_max)
     y1 = y2 = 0.0
     for j in range(n_max, -1, -1):
         y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
-    at_zero = np.asarray(theta) == 0.0
-    return np.where(at_zero, float(total()), y1) if at_zero.any() else y1
+    return y1 if psi0 is None else np.where(at_zero, psi0, y1)
 
 
 def evaluate_series(seq: CoeffSeq, theta):
@@ -151,7 +154,7 @@ def evaluate_series(seq: CoeffSeq, theta):
     angle must lie in [0, pi]. theta = 0 gives the coefficient sum (exact for
     exact sequences). Every dimension uses one Clenshaw recurrence in cos(theta).
     """
-    return _clenshaw(seq.dimension, seq.to_floats().values, theta, seq.total)
+    return _clenshaw(seq.dimension, seq.to_floats().values, theta, seq.float_total)
 
 
 def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
@@ -160,7 +163,7 @@ def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
     Exact values become floats once, here; psi(0) stays the exact total.
     """
     b = seq.to_floats().values
-    total = float(seq.total())
+    total = seq.float_total()
     return SphericalModel(name, lambda theta: _clenshaw(seq.dimension, b, theta, lambda: total))
 
 
@@ -287,7 +290,7 @@ def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
     """Report nonnegativity violations, |sum - 1|, and parity counts."""
     vals = seq.to_floats().values
     violations = tuple(n for n, v in enumerate(vals) if v < -NONNEG_TOL)
-    defect = float(abs(seq.total() - 1))
+    defect = _to_float(abs(seq.total() - 1), "the normalization defect")
     positive_even = sum(1 for n, v in enumerate(vals) if n % 2 == 0 and v > 0)
     positive_odd = sum(1 for n, v in enumerate(vals) if n % 2 == 1 and v > 0)
     return MembershipReport(
@@ -304,15 +307,13 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
 
     The matrix must be square and symmetric to 1e-10 * ||A||_F; it is
-    symmetrized before the solve, and the zero matrix short-circuits.
+    symmetrized before the solve.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(a.shape[0])
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+    if float(np.max(np.abs(a - a.T), initial=0.0)) > 1e-10 * scale:
         raise ValueError("matrix must be symmetric")
     return np.linalg.eigvalsh((a + a.T) / 2.0)
 

@@ -6,13 +6,12 @@ entries (nothing is ever extrapolated past the truncation), so a k-step walk
 shortens the sequence by 2k while raising the dimension by 2k.
 
 Two routes compute the same walk: repeated application of the two-step
-recursion (``walk_recursive``, k calls of ``step_up``) and the closed-form
-weight rows (``walk_closed_form``). ``verify_walk_equivalence`` runs both
-and compares.
+recursion (``walk_recursive``, k calls of ``step_up``) and the closed form
+(``walk_closed_form``), Horner's rule over the term ratios of the weight
+rows (``weights._row_terms``). ``verify_walk_equivalence`` runs both.
 Exact walks build one reduced Fraction per entry. Float walks are numpy
-array chains over the whole index range: a step is one vector expression,
-and the closed form rounds the factors and term ratios of the weight rows
-(``weights._row_terms``) over n. All transformations are pure.
+array chains over the whole index range: a step, or a Horner level, is one
+vector expression. All transformations are pure.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
-from .exactnum import _float_tuple
-from .weights import EVEN, ODD, _row_terms, even_weights, odd_weights
+from .exactnum import _float_tuple, _to_float
+from .weights import EVEN, ODD, _row_terms, odd_weights
 
 __all__ = [
     "EXACT",
@@ -81,10 +81,17 @@ class CoeffSeq:
         return len(self.values) - 1
 
     def total(self):
-        """Sum of all entries; exact for exact sequences."""
+        """Sum of all entries; exact for exact sequences, correctly rounded for floats."""
         if self.kind == EXACT:
             return sum(self.values, Fraction(0))
-        return math.fsum(self.values)
+        try:
+            return math.fsum(self.values)
+        except OverflowError:  # fsum raises it for an overflowing partial sum too
+            return CoeffSeq.exact(self.dimension, self.values).float_total()
+
+    def float_total(self) -> float:
+        """total() as a float; ValueError if it lies outside the float range."""
+        return _to_float(self.total(), "the coefficient sum")
 
     def to_floats(self) -> "CoeffSeq":
         """The sequence as floats; ValueError names the first value past the float range."""
@@ -168,27 +175,16 @@ def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
     return seq
 
 
-def _float_weight_rows(d: int, k: int, count: int):
-    """Yield the float weight rows w_0, ..., w_k over n = 0..count-1 from the
-    rounded quotients of ``_row_terms``; the odd n = 0 column is the exact
-    piecewise row, rounded."""
-    factors, ratios = _row_terms(ODD if d == 1 else EVEN, np.arange(count, dtype=float), k)
-    w0 = np.ones(count)
-    for num, den in factors:
-        w0 *= num / den
-    head = odd_weights(0, k).as_floats() if d == 1 else None
-    for i, w in enumerate(accumulate((a / b for a, b in ratios), np.multiply, initial=w0)):
-        if head:
-            w[0] = head[i]
-        yield w
-
-
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     """Walk a dimension-1 or dimension-2 sequence up by 2k in one shot.
 
     Output entry n is sum_i w_i(n,k) * values[n+2i] with the odd- or
-    even-target weight row; output n_max = n_max - 2k. Float sequences take
-    the weights from ``_float_weight_rows`` and sum in order of i.
+    even-target weight row, taken by Horner's rule over the term ratios
+    r_i = w_(i+1)/w_i of ``_row_terms`` as
+    w_0 * (b_n + r_0 * (b_(n+2) + ... + r_(k-1) * b_(n+2k))), one array
+    expression per level over all n; output n_max = n_max - 2k. The odd
+    n = 0 row starts with the piecewise w_0 = 1, not the product, so that
+    entry is the dot product of ``odd_weights(0, k)``, summed in order of i.
     """
     if seq.dimension not in (1, 2):
         raise ValueError(
@@ -196,27 +192,32 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
             "use the recursion for higher dimensions"
         )
     _check_walk(seq, k)
+    parity = ODD if seq.dimension == 1 else EVEN
     count = seq.n_max - 2 * k + 1
-    if seq.kind == FLOAT:
+    exact = seq.kind == EXACT
+    factors, ratios = _row_terms(parity, np.arange(count, dtype=object if exact else float), k)
+    levels = reversed(list(enumerate(ratios)))
+    if exact:
+        # each entry one unreduced integer fraction p/q, reduced once
+        num, den = np.array([v.as_integer_ratio() for v in seq.values], dtype=object).T
+        p, q = num[2 * k :], den[2 * k :]
+        for i, (a, c) in levels:
+            x, y = num[2 * i : 2 * i + count], den[2 * i : 2 * i + count]
+            p, q = x * c * q + a * p * y, y * c * q
+        nums, dens = zip(*factors)
+        out = list(map(Fraction, p * math.prod(nums), q * math.prod(dens)))
+    else:
         b = np.array(seq.values)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _float_weight_rows(seq.dimension, k, count)
-            out = next(rows) * b[:count]
-            for i, w in enumerate(rows, 1):
-                out += w * b[2 * i : 2 * i + count]
-        return CoeffSeq(seq.dimension + 2 * k, tuple(out.tolist()), FLOAT)
-    rows = odd_weights if seq.dimension == 1 else even_weights
-    out = []
-    for n in range(count):
-        # sum w_i * b_{n+2i} as one unreduced integer fraction, reduced once
-        num, den = 0, 1
-        for i, w in enumerate(rows(n, k).weights):
-            v = seq.values[n + 2 * i]
-            if v:
-                a, b = w.numerator * v.numerator, w.denominator * v.denominator
-                num, den = num * b + a * den, den * b
-        out.append(Fraction(num, den))
-    return CoeffSeq(seq.dimension + 2 * k, tuple(out), EXACT)
+            acc = b[2 * k :]
+            for i, (a, c) in levels:
+                acc = b[2 * i : 2 * i + count] + a / c * acc
+            out = (math.prod(num / den for num, den in factors) * acc).tolist()
+    if parity == ODD:
+        row = odd_weights(0, k)
+        head = row.weights if exact else row.as_floats()
+        out[0] = reduce(add, map(mul, head, seq.values[::2]))
+    return CoeffSeq(seq.dimension + 2 * k, tuple(out), seq.kind)
 
 
 def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:

@@ -7,10 +7,10 @@ dimensions up as a linear combination of base-dimension coefficients:
     b[n, 2k+2] = sum_i w_i * b[n+2i, 2]     even-target rows (Legendre base)
 
 One definition, ``_row_terms``, writes a row as w_0, a product of k integer
-quotients, and k integer term ratios w_(i+1)/w_i, for an int n or a float
-array n (the float walks). Exact rows multiply these integers into one
-reduced Fraction per entry. Rows are memoised per (n, k); the cache is
-fill-once and read-only, so concurrent use behaves as if it were absent.
+quotients, and k integer term ratios w_(i+1)/w_i, for an int n or an array
+n. Exact rows multiply these integers into one reduced Fraction per
+entry; the closed-form walks run Horner's rule over the same terms and build
+no row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import _float_tuple, double_factorial, pochhammer
 
@@ -65,7 +64,8 @@ def _check_nk(n: int, k: int) -> None:
 
 def _row_terms(parity: str, n, k: int):
     """Iterators over the k factors (num, den) of w_0 and the k term ratios
-    (num, den) of w_(i+1)/w_i of a row, for an int n or a float array n:
+    (num, den) of w_(i+1)/w_i of a row, for an int n or an array n of
+    floats or (object dtype) ints:
 
         odd:  w_0 = prod_j (n+k+j) / (2(2j+1))
               w_(i+1)/w_i = -(k-i)/(i+1) * (n+2i+2)/(n+2i) * (n+i)/(n+i+k+1)
@@ -98,7 +98,6 @@ def _exact_row(parity: str, n: int, k: int) -> list[Fraction]:
     return ws
 
 
-@lru_cache(maxsize=None)
 def odd_weights(n: int, k: int) -> WalkWeights:
     """Exact weights taking dimension-1 coefficients to dimension 2k+1.
 
@@ -116,7 +115,6 @@ def odd_weights(n: int, k: int) -> WalkWeights:
     return WalkWeights(n=n, k=k, parity=ODD, weights=tuple(ws))
 
 
-@lru_cache(maxsize=None)
 def even_weights(n: int, k: int) -> WalkWeights:
     """Exact weights taking dimension-2 coefficients to dimension 2k+2.
 

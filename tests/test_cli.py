@@ -365,6 +365,22 @@ def test_exact_value_past_float_range_exits_2(capsys, tmp_path, argv):
     assert err == "error: value n = 2 lies outside the float range\n"
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["eval", "--theta", "0"], ["eval", "--theta", "0.5", "0"],
+    ["verify", "--gram", "--points", "5"],
+])
+def test_total_past_float_range_exits_2(capsys, tmp_path, kind, argv):
+    # every entry is a float, their sum is not
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"dimension": 1, "n_max": 1, "kind": kind, "values": ["1e308"] * 2}))
+    code, out, err = run(capsys, *argv, "--input", str(src))
+    assert code == 2
+    assert out == ""
+    what = "normalization defect" if kind == "exact" and argv[0] == "verify" else "coefficient sum"
+    assert err == f"error: the {what} lies outside the float range\n"
+
+
 def test_eval_rejects_out_of_range(capsys, tmp_path):
     src = tmp_path / "e1.json"
     write_sequence(src, CoeffSeq.exact(1, [0, 1]))

@@ -357,6 +357,7 @@ def test_jacobi_input_validation():
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.all(symmetric_eigenvalues(np.zeros((4, 4))) == 0.0)
+    assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
 
 
 # -- gram spot checks -------------------------------------------------------

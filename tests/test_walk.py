@@ -9,11 +9,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from dimwalk import walk as walk_module
+from dimwalk import walk as walk_module, weights as weights_module
 from dimwalk.models import example_fourier_seq, hs_model_seq, HSModelSpec
 from dimwalk.walk import (
     CoeffSeq,
-    _float_weight_rows,
     _rounding_bound,
     step_up,
     verify_walk_equivalence,
@@ -191,17 +190,17 @@ def test_equivalence_float_near_overflow():
     assert verify_walk_equivalence(seq, 1) is True
 
 
-@pytest.mark.parametrize("k", (1, 4, 16, 32, 50))
-def test_float_weight_rows_within_rounding_of_exact_rows(k):
-    # the term-ratio rows against the exact rows, built uncached
-    count, u = 3001, 2.0**-53
-    for d, exact_row in ((1, odd_weights.__wrapped__), (2, even_weights.__wrapped__)):
-        got = np.array(list(_float_weight_rows(d, k, count)))
-        want = np.array([exact_row(n, k).as_floats() for n in range(count)]).T
-        assert np.all(np.abs(got - want) <= 2 * (k + 1) * u * np.abs(want)), d
+@pytest.mark.parametrize("k", (32, 50))
+def test_exact_closed_form_equals_recursion_at_large_k(k):
+    # a rational input padded with 2k zeros, past the property tests' k <= 6
+    rnd = random.Random(k)
+    for d in (1, 2):
+        values = random_exact_signed(rnd, 2 * k + 10).values + (Q(0),) * (2 * k)
+        seq = CoeffSeq.exact(d, values)
+        assert walk_closed_form(seq, k).values == walk_recursive(seq, k).values, d
 
 
-def test_float_closed_form_builds_no_exact_rows_but_the_odd_head(monkeypatch):
+def test_closed_form_builds_no_rows_but_the_odd_head(monkeypatch):
     calls = []
 
     def counted(rows):
@@ -211,12 +210,20 @@ def test_float_closed_form_builds_no_exact_rows_but_the_odd_head(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(walk_module, "odd_weights", counted(odd_weights))
-    monkeypatch.setattr(walk_module, "even_weights", counted(even_weights))
-    walk_closed_form(example_fourier_seq(2000), 16)
-    assert calls == [("odd_weights", 0, 16)]
-    walk_closed_form(hs_model_seq(HSModelSpec(epsilon=1.0), 2000), 16)
-    assert len(calls) == 1
+    for module in (walk_module, weights_module):
+        for rows in (odd_weights, even_weights):
+            if hasattr(module, rows.__name__):
+                monkeypatch.setattr(module, rows.__name__, counted(rows))
+    rnd = random.Random(3)
+    for k, odd, even in (
+        (16, example_fourier_seq(2000), hs_model_seq(HSModelSpec(epsilon=1.0), 2000)),
+        (5, random_exact_signed(rnd, 40), random_exact_signed(rnd, 40, dimension=2)),
+    ):
+        calls.clear()
+        walk_closed_form(odd, k)
+        assert calls == [("odd_weights", 0, k)]
+        walk_closed_form(even, k)
+        assert len(calls) == 1
 
 
 def test_float_closed_form_at_k50_within_half_the_rounding_bound():
@@ -263,3 +270,8 @@ def test_coeffseq_validation_and_total():
     seq = CoeffSeq.exact(1, [Q(1, 3), Q(1, 3), Q(1, 3)])
     assert seq.total() == 1
     assert seq.to_floats().kind == "float"
+    # fsum raises for the partial sum 2e308; the total 1e308 is a float
+    assert CoeffSeq.floats(1, [1e308, 1e308, -1e308]).total() == 1e308
+    for big in (CoeffSeq.floats(1, [1e308, 1e308]), CoeffSeq.exact(1, [10**308, 10**308])):
+        with pytest.raises(ValueError, match="the coefficient sum lies outside the float range"):
+            big.float_total()

@@ -61,33 +61,34 @@ def _float_step_reference(v, d):
 
 
 def _float_closed_reference(v, d, k):
-    """The float closed form entry by entry: w_0 as a product of k rounded
-    factors, each later weight the one before times its rounded term ratio,
-    the terms w_i * b_{n+2i} summed in order of i. The odd n = 0 row is the
-    exact piecewise row, rounded."""
+    """The float closed form entry by entry: Horner's rule
+    w_0 * (b_n + r_0 * (b_(n+2) + ... + r_(k-1) * b_(n+2k))) with rounded
+    term ratios r_i and w_0 a product of k rounded factors. The odd n = 0
+    entry is the exact piecewise row, rounded, its terms summed in order of i."""
     out = []
     for n in range(len(v) - 2 * k):
         if d == 1 and n == 0:
             ws = [float(w) for w in odd_row_reference(0, k)]
-        else:
-            w = 1.0
-            for j in range(k):
-                if d == 1:
-                    w *= (n + k + j) / (2 * (2 * j + 1))
-                else:
-                    w *= (n + 2 * j + 1) * (n + 2 * j + 2) / (2 * (j + 1) * (2 * n + 2 * j + 1))
-            ws = [w]
-            for i in range(k):
-                if d == 1:
-                    r = (-(k - i) * (n + 2 * i + 2) * (n + i)
-                         / ((i + 1) * (n + 2 * i) * (n + i + k + 1)))
-                else:
-                    r = -(k - i) * (2 * n + 2 * i + 1) / ((i + 1) * (2 * n + 2 * k + 2 * i + 3))
-                ws.append(ws[-1] * r)
-        total = ws[0] * v[n]
-        for i in range(1, k + 1):
-            total += ws[i] * v[n + 2 * i]
-        out.append(total)
+            total = ws[0] * v[0]
+            for i in range(1, k + 1):
+                total += ws[i] * v[2 * i]
+            out.append(total)
+            continue
+        acc = v[n + 2 * k]
+        for i in reversed(range(k)):
+            if d == 1:
+                r = (-(k - i) * (n + 2 * i + 2) * (n + i)
+                     / ((i + 1) * (n + 2 * i) * (n + i + k + 1)))
+            else:
+                r = -(k - i) * (2 * n + 2 * i + 1) / ((i + 1) * (2 * n + 2 * k + 2 * i + 3))
+            acc = v[n + 2 * i] + r * acc
+        w = 1.0
+        for j in range(k):
+            if d == 1:
+                w *= (n + k + j) / (2 * (2 * j + 1))
+            else:
+                w *= (n + 2 * j + 1) * (n + 2 * j + 2) / (2 * (j + 1) * (2 * n + 2 * j + 1))
+        out.append(w * acc)
     return out
 
 

@@ -145,11 +145,6 @@ def test_walkweights_validates_shape():
         WalkWeights(n=0, k=0, parity="diagonal", weights=(Q(1),))
 
 
-def test_rows_are_memoised():
-    assert odd_weights(7, 3) is odd_weights(7, 3)
-    assert even_weights(7, 3) is even_weights(7, 3)
-
-
 def test_recursion_oracle_agreement_small_grid():
     n_max, k_max = 12, 4
     for base, rows, parity in ((1, odd_weights, ODD), (2, even_weights, EVEN)):
