@@ -7,14 +7,7 @@ the recursion route, series evaluation, coefficient extraction, and
 positive-definiteness spot checks round out the toolkit.
 """
 
-from .exactnum import (
-    beta,
-    binomial,
-    double_factorial,
-    frisch_identity_sides,
-    pochhammer,
-    pochhammer_split_identity,
-)
+from .exactnum import pochhammer
 from .models import (
     HSModelSpec,
     MODEL_NAMES,
@@ -22,7 +15,6 @@ from .models import (
     example_fourier_seq,
     example_psi,
     example_walked_closed_form_seq,
-    fractal_index_estimate,
     get_model,
     hs_model_seq,
 )
@@ -30,14 +22,12 @@ from .seqio import (
     SequenceFormatError,
     read_sequence,
     sequence_from_json,
-    sequence_to_csv,
     sequence_to_json,
     write_sequence,
 )
 from .series import (
     GramReport,
     MembershipReport,
-    QuadratureRule,
     ResolutionError,
     SphericalModel,
     check_membership,
@@ -46,7 +36,6 @@ from .series import (
     extract_legendre,
     gauss_legendre_rule,
     gram_psd_check,
-    min_symmetric_eigenvalue,
     model_from_seq,
     normalized_basis,
     symmetric_eigenvalues,
@@ -57,16 +46,13 @@ from .walk import (
     verify_walk_equivalence,
     walk_closed_form,
     walk_recursive,
-    zero_row_identity_check,
 )
 from .weights import (
     EVEN,
     ODD,
     WalkWeights,
     even_weights,
-    odd_weight_endpoints,
     odd_weights,
-    weight_row_sum,
 )
 
 __version__ = "0.1.0"

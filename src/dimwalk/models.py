@@ -14,7 +14,6 @@ Registered names:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "example_closed_form",
     "example_walked_closed_form_seq",
     "hs_model_seq",
-    "fractal_index_estimate",
     "MODEL_NAMES",
     "get_model",
 ]
@@ -119,36 +117,6 @@ def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:
                 f"a float at n = {n}"
             ) from None
     return CoeffSeq.floats(2, vals)
-
-
-def fractal_index_estimate(seq: CoeffSeq, fit_range: tuple[int, int]) -> float:
-    """Decay exponent of a dimension-1 sequence, reported as gamma = -slope - 1.
-
-    Plain least squares on the log-log points over the inclusive fit range;
-    coefficients behaving like n^(-gamma-1) give back gamma. This is a
-    diagnostic, not an inference procedure: no error bars, and estimates
-    landing outside (0, 1) are flagged with a warning because the index
-    interpretation only holds on the open interval.
-    """
-    if seq.dimension != 1:
-        raise ValueError("the index estimate reads dimension-1 coefficients")
-    lo, hi = fit_range
-    if not 1 <= lo < hi <= seq.n_max:
-        raise ValueError("fit range must satisfy 1 <= n_lo < n_hi <= n_max")
-    ns = np.arange(lo, hi + 1)
-    bs = np.array(seq.to_floats().values[lo : hi + 1])
-    if np.any(bs <= 0):
-        raise ValueError("fit range contains nonpositive entries")
-    slope = float(np.polyfit(np.log(ns), np.log(bs), 1)[0])
-    gamma = -slope - 1.0
-    # estimates within roundoff of an endpoint count as boundary cases
-    if not 1e-9 < gamma < 1.0 - 1e-9:
-        warnings.warn(
-            f"fractal index estimate {gamma:.6g} lies outside (0, 1); "
-            "the power-law interpretation does not apply there",
-            stacklevel=2,
-        )
-    return gamma
 
 
 MODEL_NAMES = ("one", "cosine", "example31", "hs")

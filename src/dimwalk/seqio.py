@@ -3,8 +3,7 @@
 The canonical on-disk form is JSON with string-encoded values: exact entries
 as reduced fractions ("p/q" or a bare integer), float entries as shortest
 round-trip decimals. Writing is deterministic, so write -> read -> write is
-byte-identical. A flat "n,value" CSV rendering is available for spreadsheets;
-it carries no metadata and is not read back.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "sequence_from_json",
     "read_sequence",
     "write_sequence",
-    "sequence_to_csv",
 ]
 
 
@@ -82,10 +80,3 @@ def read_sequence(path) -> CoeffSeq:
 
 def write_sequence(path, seq: CoeffSeq) -> None:
     Path(path).write_text(sequence_to_json(seq), encoding="utf-8")
-
-
-def sequence_to_csv(seq: CoeffSeq) -> str:
-    lines = ["n,value"]
-    for n, v in enumerate(seq.values):
-        lines.append(f"{n},{v}" if seq.kind == EXACT else f"{n},{v!r}")
-    return "\n".join(lines) + "\n"

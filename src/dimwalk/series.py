@@ -26,7 +26,6 @@ __all__ = [
     "ResolutionError",
     "SphericalModel",
     "GramReport",
-    "QuadratureRule",
     "MembershipReport",
     "normalized_basis",
     "evaluate_series",
@@ -37,7 +36,6 @@ __all__ = [
     "check_membership",
     "gram_psd_check",
     "symmetric_eigenvalues",
-    "min_symmetric_eigenvalue",
 ]
 
 NONNEG_TOL = 1e-12       # entries below -NONNEG_TOL count as violations
@@ -70,15 +68,6 @@ class GramReport:
     psd_pass: bool
     seed: int
     generator: str = "pcg64"
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights on (-1, 1), nodes ascending."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
 
 
 def _check_theta(theta) -> None:
@@ -130,11 +119,12 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     """sum_n b_n Q_n(cos theta) for a float or an array theta, with total()
     at theta = 0. The backward recurrence y_j = b_j + a_j x y_{j+1} + c_{j+1}
     y_{j+2} runs over plain floats, so one loop serves a float and an array x.
+    A value past the float range raises ValueError naming its angle.
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
     at_zero = np.asarray(theta) == 0.0
-    # total() first: it may raise, and the loop may overflow with a warning
+    # total() first: it raises for a sum past the float range
     psi0 = total() if at_zero.any() else None
     if scalar and psi0 is not None:
         return psi0
@@ -142,8 +132,13 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     n_max = len(b) - 1
     a, c = _recurrence(d, n_max)
     y1 = y2 = 0.0
-    for j in range(n_max, -1, -1):
-        y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for j in range(n_max, -1, -1):
+            y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
+    bad = ~(np.isfinite(y1) | at_zero)
+    if bad.any():
+        t = float(np.asarray(theta, dtype=float)[bad][0])
+        raise ValueError(f"the series value at theta = {t!r} lies outside the float range")
     return y1 if psi0 is None else np.where(at_zero, psi0, y1)
 
 
@@ -197,7 +192,8 @@ def extract_fourier(model: SphericalModel, n_max: int, grid_size: int) -> CoeffS
         )
     psi = _evaluate(model, np.linspace(0.0, math.pi, grid_size))
     even = np.concatenate([psi, psi[-2:0:-1]])
-    coeffs = np.fft.rfft(even)[: n_max + 1].real / (grid_size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # CoeffSeq rejects inf and nan
+        coeffs = np.fft.rfft(even)[: n_max + 1].real / (grid_size - 1)
     coeffs[0] *= 0.5
     return CoeffSeq.floats(1, coeffs.tolist())
 
@@ -209,13 +205,15 @@ def _legendre_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def gauss_legendre_rule(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] by Newton iteration on P_order roots.
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre (nodes, weights) on [-1, 1], nodes ascending, by Newton
+    iteration on the roots of P_order.
 
     Starts from the Chebyshev-style angles cos(pi (i - 1/4)/(order + 1/2));
     convergence to ~1e-15 takes a handful of sweeps. Weights are
     2 / ((1 - x^2) P'_order(x)^2); the rule integrates polynomials of degree
-    <= 2*order - 1 exactly.
+    <= 2*order - 1 exactly. Both arrays are read-only: the cache hands the
+    same pair to every caller.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -235,7 +233,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     weights = w[::-1].copy()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return nodes, weights
 
 
 def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
@@ -251,10 +249,11 @@ def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
         raise ValueError("n_max must be >= 0")
     if order < n_max + 1:
         raise ResolutionError(f"order must be >= n_max + 1 = {n_max + 1}, got {order}")
-    rule = gauss_legendre_rule(order)
-    wpsi = rule.weights * _evaluate(model, np.arccos(rule.nodes))
-    rows = _basis_rows(2, n_max, rule.nodes)
-    coeffs = [(n + 0.5) * float(row @ wpsi) for n, row in enumerate(rows)]
+    nodes, weights = gauss_legendre_rule(order)
+    wpsi = weights * _evaluate(model, np.arccos(nodes))
+    rows = _basis_rows(2, n_max, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # CoeffSeq rejects inf and nan
+        coeffs = [(n + 0.5) * float(row @ wpsi) for n, row in enumerate(rows)]
     return CoeffSeq.floats(2, coeffs)
 
 
@@ -318,11 +317,6 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.T) / 2.0)
 
 
-def min_symmetric_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``)."""
-    return float(symmetric_eigenvalues(matrix)[0])
-
-
 def _sphere_points(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count pseudo-random unit vectors in R^(dimension+1), pairwise distinct.
 
@@ -371,7 +365,7 @@ def gram_psd_check(
     g[upper] = _evaluate(model, np.arccos(dots[upper]))
     g[upper[::-1]] = g[upper]
     np.fill_diagonal(g, float(model.evaluator(0.0)))
-    min_eig = min_symmetric_eigenvalue(g)
+    min_eig = float(symmetric_eigenvalues(g)[0])
     return GramReport(
         point_count=point_count,
         min_eigen_estimate=min_eig,

@@ -35,7 +35,6 @@ __all__ = [
     "walk_recursive",
     "walk_closed_form",
     "verify_walk_equivalence",
-    "zero_row_identity_check",
 ]
 
 EXACT = "exact"
@@ -254,13 +253,3 @@ def _walks_agree(seq: CoeffSeq, k: int, closed: tuple, stepped: tuple) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         close = np.isfinite(a) & np.isfinite(b) & (np.abs(b - a) <= tol)
     return bool(np.all((a == b) | close))
-
-
-def zero_row_identity_check(seq: CoeffSeq) -> bool:
-    """Check the n = 0 output of a step against b'_0 = b_0 - 2/(d(d+3)) b_2."""
-    if seq.n_max < 2:
-        raise ValueError("need n_max >= 2")
-    d = seq.dimension
-    coeff = Fraction(2, d * (d + 3)) if seq.kind == EXACT else 2 / (d * (d + 3))
-    head = CoeffSeq(d, seq.values[:3], seq.kind)
-    return _walks_agree(head, 1, step_up(head).values, (seq.values[0] - coeff * seq.values[2],))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _float_tuple, double_factorial, pochhammer
+from .exactnum import _float_tuple
 
 __all__ = [
     "ODD",
@@ -27,8 +27,6 @@ __all__ = [
     "WalkWeights",
     "odd_weights",
     "even_weights",
-    "odd_weight_endpoints",
-    "weight_row_sum",
 ]
 
 ODD = "odd"    # target dimension 2k+1, built on dimension-1 coefficients
@@ -124,31 +122,3 @@ def even_weights(n: int, k: int) -> WalkWeights:
                / [ (n+i+1/2)_(k-i) * (n+k+3/2)_(i) ]
     """
     return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(_exact_row(EVEN, n, k)))
-
-
-def odd_weight_endpoints(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Simplified first and last odd-target weights for the generic rows:
-
-        w_0 = (n+k)_(k) / (2^k (2k-1)!!)
-        w_k = (-1/2)^k (n+1)_(k) / (2k-1)!!
-
-    Only valid for n >= 1; the n = 0 row starts with the piecewise value 1.
-    """
-    if n < 1:
-        raise ValueError("endpoint simplifications hold for n >= 1 only")
-    _check_nk(n, k)
-    dfact = double_factorial(k)
-    first = Fraction(pochhammer(n + k, k), 2**k * dfact)
-    last = Fraction((-1) ** k * pochhammer(n + 1, k), 2**k * dfact)
-    return first, last
-
-
-def weight_row_sum(row: WalkWeights) -> Fraction:
-    """Exact sum of an odd-target row (1/2 when n = 0, otherwise 0).
-
-    Even-target rows are rejected: no closed form for their sum is
-    established, so nothing is asserted about them here.
-    """
-    if row.parity != ODD:
-        raise ValueError("row sums are only asserted for odd-target rows")
-    return sum(row.weights, Fraction(0))

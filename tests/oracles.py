@@ -5,6 +5,10 @@
   rows, without touching the closed-form code paths.
 - odd_row_reference / even_row_reference: the weight-row formulas written
   out term by term with Fraction Pochhammer symbols, O(k^2) per row.
+- odd_weight_endpoints: the simplified first and last odd-target weights.
+- frisch_identity_sides: both sides of the alternating binomial-reciprocal
+  sum identity behind the odd row-sum law.
+- beta: the Beta function at integer/half-integer arguments, exactly.
 - project_series: quadrature projection of an evaluable function onto the
   normalized ultraspherical basis, built on scipy's polynomial evaluation
   rather than the library's own basis recurrence.
@@ -71,6 +75,65 @@ def _rising(x, m: int):
     for j in range(m):
         out = out * (x + j)
     return out
+
+
+def odd_weight_endpoints(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """Simplified first and last odd-target weights for the generic rows:
+
+        w_0 = (n+k)_(k) / (2^k (2k-1)!!)
+        w_k = (-1/2)^k (n+1)_(k) / (2k-1)!!
+
+    Only valid for n >= 1; the n = 0 row starts with the piecewise value 1.
+    """
+    if n < 1:
+        raise ValueError("endpoint simplifications hold for n >= 1 only")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dfact = math.prod(range(1, 2 * k, 2))
+    first = Fraction(_rising(n + k, k), 2**k * dfact)
+    last = Fraction((-1) ** k * _rising(n + 1, k), 2**k * dfact)
+    return first, last
+
+
+def frisch_identity_sides(k: int, b: int, c: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the alternating binomial-reciprocal sum identity
+
+        sum_{i=0..k} (-1)^i C(k,i) / C(b+i,c)  ==  (c/(k+c)) / C(k+b, b-c)
+
+    for integers b >= c >= 1 and k >= 0. The left side is computed by direct
+    summation, the right from the closed form; both are returned exactly so
+    callers can compare them.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if c < 1 or b < c:
+        raise ValueError("need b >= c >= 1")
+    lhs = sum((Fraction((-1) ** i * math.comb(k, i), math.comb(b + i, c))
+               for i in range(k + 1)), Fraction(0))
+    rhs = Fraction(c, k + c) / math.comb(k + b, b - c)
+    return lhs, rhs
+
+
+def beta(x, y) -> Fraction:
+    """Beta function B(x, y) = Gamma(x)Gamma(y) / Gamma(x+y), exactly.
+
+    Both arguments must be positive integers or half-integers, and at least
+    one must be an integer k; then B(x, k) = (k-1)! / (x)_(k) is an exact
+    Fraction, with no Gamma evaluation at half-integers. Two genuine
+    half-integers are rejected: their sqrt(pi) factors multiply instead of
+    cancelling, so the value is irrational.
+    """
+    qx, qy = Fraction(x), Fraction(y)
+    if qx <= 0 or qy <= 0:
+        raise ValueError("beta requires positive arguments")
+    if qx.denominator > 2 or qy.denominator > 2:
+        raise ValueError("beta supports integer or half-integer arguments only")
+    if qy.denominator != 1:
+        qx, qy = qy, qx
+    if qy.denominator != 1:
+        raise ValueError("beta needs at least one integer argument")
+    k = int(qy)
+    return Fraction(math.factorial(k - 1)) / _rising(qx, k)
 
 
 def odd_row_reference(n: int, k: int) -> list[Fraction]:

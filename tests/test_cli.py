@@ -28,6 +28,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m dimwalk`` in a subprocess, so a warning shows on its stderr."""
+    proc = subprocess.run([sys.executable, "-m", "dimwalk", *argv], capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+
 # -- coeffs -----------------------------------------------------------------
 
 
@@ -326,6 +332,22 @@ def test_extract_samples_closes_its_file(tmp_path):
     assert "ResourceWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_extract_overflowing_samples_print_one_error(tmp_path, dim):
+    # the samples are floats, their cosine and Legendre sums are not
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"values": [1e308] * 3}))
+    code, out, err = run_module(
+        "extract", "--samples", str(samples), "--dim", dim, "--n-max", "1",
+        "--output", str(tmp_path / "o.json"),
+    )
+    assert (code, out) == (2, "")
+    # --dim 2 also notes that its quadrature nodes interpolate the samples
+    assert [line for line in err if not line.startswith("note:")] == [
+        "error: all values must be finite"
+    ]
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -379,6 +401,15 @@ def test_total_past_float_range_exits_2(capsys, tmp_path, kind, argv):
     assert out == ""
     what = "normalization defect" if kind == "exact" and argv[0] == "verify" else "coefficient sum"
     assert err == f"error: the {what} lies outside the float range\n"
+
+
+def test_eval_series_past_float_range_exits_2(tmp_path):
+    # the entries are floats; 1e308 + 1e308 cos(theta) is not at theta = 0.5, 0.1
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"dimension": 1, "n_max": 1, "kind": "exact", "values": ["1e308"] * 2}))
+    code, out, err = run_module("eval", "--input", str(src), "--theta", "3.0", "0.5", "0.1")
+    assert (code, out) == (2, "")
+    assert err == ["error: the series value at theta = 0.5 lies outside the float range"]
 
 
 def test_eval_rejects_out_of_range(capsys, tmp_path):

@@ -1,34 +1,13 @@
-"""Unit tests for the exact combinatorial kernel."""
+"""Unit tests for the Pochhammer symbol and the exact identity and Beta
+oracles in tests/oracles.py."""
 
-import math
 from fractions import Fraction as Q
 
 import pytest
 
-from dimwalk.exactnum import (
-    beta,
-    binomial,
-    double_factorial,
-    frisch_identity_sides,
-    pochhammer,
-    pochhammer_split_identity,
-)
+from dimwalk.exactnum import pochhammer
 
-
-@pytest.mark.parametrize("k,expected", [(0, 1), (1, 1), (2, 3), (4, 105)])
-def test_double_factorial_values(k, expected):
-    assert double_factorial(k) == expected
-
-
-def test_double_factorial_matches_factorial_form():
-    # (2k-1)!! == (2k)! / (2^k k!)
-    for k in range(21):
-        assert double_factorial(k) == math.factorial(2 * k) // (2**k * math.factorial(k))
-
-
-def test_double_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        double_factorial(-1)
+from oracles import beta, frisch_identity_sides
 
 
 def test_pochhammer_values():
@@ -43,22 +22,12 @@ def test_pochhammer_rejects_negative_length():
         pochhammer(2, -1)
 
 
-@pytest.mark.parametrize("a,b,expected", [(4, 2, 6), (5, 0, 1), (3, 5, 0), (4, -1, 0)])
-def test_binomial_values(a, b, expected):
-    assert binomial(a, b) == expected
-
-
-def test_binomial_rejects_negative_a():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
-
-
 def test_split_identity_holds_everywhere():
     xs = [Q(-3), Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(2), Q(7, 3)]
     for x in xs:
         for k in range(6):
             for l in range(6):
-                assert pochhammer_split_identity(x, k, l)
+                assert pochhammer(x, k) * pochhammer(x + k, l) == pochhammer(x, k + l)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Model families: the inverse-square cosine family and its walked closed
-form, the dimension-2 power-decay family, the fractal-index diagnostic, and
-the registry.
+form, the dimension-2 power-decay family, and the registry.
 """
 
 import math
@@ -10,7 +9,6 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from dimwalk.exactnum import beta
 from dimwalk.models import (
     HSModelSpec,
     MODEL_NAMES,
@@ -18,13 +16,13 @@ from dimwalk.models import (
     example_fourier_seq,
     example_psi,
     example_walked_closed_form_seq,
-    fractal_index_estimate,
     get_model,
     hs_model_seq,
 )
 from dimwalk.series import check_membership, evaluate_series
-from dimwalk.walk import CoeffSeq
 from dimwalk.weights import odd_weights
+
+from oracles import beta
 
 
 # -- inverse-square family ---------------------------------------------------
@@ -154,40 +152,6 @@ def test_hs_partial_sums_stabilize():
     partial = np.cumsum(vals)
     assert np.all(np.diff(partial) > 0)
     assert vals[-1] < 1e-9  # increments past n ~ 3e4 are below 1e-9
-
-
-# -- fractal-index diagnostic --------------------------------------------------
-
-
-def test_index_recovers_exact_power_law():
-    vals = [1.0] + [n ** (-1.5) for n in range(1, 201)]
-    seq = CoeffSeq.floats(1, vals)
-    assert fractal_index_estimate(seq, (10, 200)) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_index_flags_boundary_estimate():
-    seq = example_fourier_seq(2000)
-    with pytest.warns(UserWarning, match="outside"):
-        gamma = fractal_index_estimate(seq, (100, 2000))
-    assert gamma == pytest.approx(1.0, abs=1e-6)
-
-
-def test_index_on_perturbed_power_law():
-    vals = [1.0] + [n ** (-1.3) * (1 + 1 / n) for n in range(1, 10_001)]
-    seq = CoeffSeq.floats(1, vals)
-    assert fractal_index_estimate(seq, (1000, 10_000)) == pytest.approx(0.3, abs=0.01)
-
-
-def test_index_argument_errors():
-    seq = CoeffSeq.floats(1, [0.0, 1.0, 0.0, 0.5])
-    with pytest.raises(ValueError):
-        fractal_index_estimate(seq, (1, 3))  # zero entry inside the range
-    with pytest.raises(ValueError):
-        fractal_index_estimate(seq, (0, 3))
-    with pytest.raises(ValueError):
-        fractal_index_estimate(seq, (1, 9))
-    with pytest.raises(ValueError):
-        fractal_index_estimate(CoeffSeq.floats(2, [1.0, 0.5, 0.2]), (1, 2))
 
 
 # -- registry -------------------------------------------------------------------

@@ -9,7 +9,6 @@ from dimwalk.seqio import (
     SequenceFormatError,
     read_sequence,
     sequence_from_json,
-    sequence_to_csv,
     sequence_to_json,
     write_sequence,
 )
@@ -70,10 +69,3 @@ def test_json_schema_fields():
 def test_malformed_documents_rejected(text):
     with pytest.raises(SequenceFormatError):
         sequence_from_json(text)
-
-
-def test_csv_rendering():
-    seq = CoeffSeq.exact(1, [Q(1, 2), Q(-1, 3)])
-    assert sequence_to_csv(seq) == "n,value\n0,1/2\n1,-1/3\n"
-    fseq = CoeffSeq.floats(1, [0.5, -0.25])
-    assert sequence_to_csv(fseq) == "n,value\n0,0.5\n1,-0.25\n"

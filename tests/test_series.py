@@ -26,7 +26,6 @@ from dimwalk.series import (
     extract_legendre,
     gauss_legendre_rule,
     gram_psd_check,
-    min_symmetric_eigenvalue,
     model_from_seq,
     normalized_basis,
     symmetric_eigenvalues,
@@ -126,6 +125,20 @@ def test_evaluate_rejects_out_of_range_theta():
         evaluate_series(seq, math.nan)
 
 
+def test_evaluate_value_past_float_range_names_its_angle():
+    # b_0 + b_1 cos(theta) lies past the float range for theta below ~0.65
+    seq = CoeffSeq.floats(1, [1e308, 1e308])
+    assert evaluate_series(seq, 3.0) == pytest.approx(1e308 * (1 + math.cos(3.0)))
+    with pytest.raises(ValueError, match=r"theta = 0\.5 lies outside the float range"):
+        evaluate_series(seq, 0.5)
+    with pytest.raises(ValueError, match=r"theta = 0\.1 lies outside the float range"):
+        evaluate_series(seq, np.array([[3.0, 0.1], [0.5, 2.0]]))
+    # a model's coefficient sum is 0, its value at theta = 3 is not a float
+    model = model_from_seq(CoeffSeq.floats(1, [1e308, -1e308]))
+    with pytest.raises(ValueError, match=r"theta = 3\.0 lies outside the float range"):
+        model.evaluator(np.array([0.0, 2.0, 3.0]))
+
+
 def test_evaluate_array_matches_scalar_calls():
     rnd = random.Random(5)
     thetas = np.array([[0.0, 0.4, 1.3], [2.2, 3.0, math.pi]])
@@ -146,38 +159,50 @@ def test_evaluate_array_matches_scalar_calls():
 
 
 def test_gauss_rule_small_orders():
-    r1 = gauss_legendre_rule(1)
-    assert r1.nodes == pytest.approx([0.0], abs=1e-15)
-    assert r1.weights == pytest.approx([2.0], abs=1e-15)
-    r2 = gauss_legendre_rule(2)
-    assert r2.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
-    assert r2.weights == pytest.approx([1.0, 1.0], abs=1e-14)
+    x1, w1 = gauss_legendre_rule(1)
+    assert x1 == pytest.approx([0.0], abs=1e-15)
+    assert w1 == pytest.approx([2.0], abs=1e-15)
+    x2, w2 = gauss_legendre_rule(2)
+    assert x2 == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
+    assert w2 == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_gauss_rule_degree_exactness():
-    r3 = gauss_legendre_rule(3)
-    assert float(np.sum(r3.weights * r3.nodes**4)) == pytest.approx(0.4, abs=1e-14)
+    x3, w3 = gauss_legendre_rule(3)
+    assert float(np.sum(w3 * x3**4)) == pytest.approx(0.4, abs=1e-14)
     # degree 2*order-1 is exact; degree 2*order is not integrated exactly
-    r2 = gauss_legendre_rule(2)
-    assert float(np.sum(r2.weights * r2.nodes**3)) == pytest.approx(0.0, abs=1e-15)
+    x2, w2 = gauss_legendre_rule(2)
+    assert float(np.sum(w2 * x2**3)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gauss_rule_invariants():
     for order in (1, 2, 3, 7, 20, 64):
-        rule = gauss_legendre_rule(order)
-        assert float(np.sum(rule.weights)) == pytest.approx(2.0, abs=1e-13)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        assert float(np.max(np.abs(rule.nodes + rule.nodes[::-1]))) <= 1e-13
-        assert float(np.max(np.abs(rule.nodes))) < 1.0
+        nodes, weights = gauss_legendre_rule(order)
+        assert float(np.sum(weights)) == pytest.approx(2.0, abs=1e-13)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(weights > 0)
+        assert float(np.max(np.abs(nodes + nodes[::-1]))) <= 1e-13
+        assert float(np.max(np.abs(nodes))) < 1.0
 
 
 def test_gauss_rule_matches_numpy():
     for order in (5, 20, 64):
-        rule = gauss_legendre_rule(order)
+        nodes, weights = gauss_legendre_rule(order)
         ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-        assert np.max(np.abs(rule.nodes - ref_x)) <= 1e-13
-        assert np.max(np.abs(rule.weights - ref_w)) <= 1e-13
+        assert np.max(np.abs(nodes - ref_x)) <= 1e-13
+        assert np.max(np.abs(weights - ref_w)) <= 1e-13
+
+
+def test_gauss_rule_cached_arrays_are_read_only():
+    # the lru_cache hands one pair to every caller, so no caller may write it
+    nodes, weights = gauss_legendre_rule(8)
+    before = nodes.copy(), weights.copy()
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    again = gauss_legendre_rule(8)
+    assert again[0] is nodes and again[1] is weights
+    assert np.array_equal(again[0], before[0]) and np.array_equal(again[1], before[1])
 
 
 def test_gauss_rule_rejects_bad_order():
@@ -257,9 +282,9 @@ def test_extract_legendre_matches_dense_product(n_max, order):
     # product: two summation orders of sums with |row| <= 1 differ by at
     # most 2*order*u*sum|w psi| before the (n + 1/2) factor
     model = get_model("hs", epsilon=1.0)
-    rule = gauss_legendre_rule(order)
-    wpsi = rule.weights * model.evaluator(np.arccos(rule.nodes))
-    dense = np.array(list(_basis_rows(2, n_max, rule.nodes))) @ wpsi
+    nodes, weights = gauss_legendre_rule(order)
+    wpsi = weights * model.evaluator(np.arccos(nodes))
+    dense = np.array(list(_basis_rows(2, n_max, nodes))) @ wpsi
     scale = np.arange(n_max + 1) + 0.5
     u = np.finfo(float).eps / 2
     bound = 2 * order * u * scale * float(np.sum(np.abs(wpsi)))
@@ -347,7 +372,7 @@ def test_jacobi_handles_clustered_spectrum():
     diag = np.array([1.0, 1.0, 1.0 + 1e-9, 5.0, -2.0])
     qm, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     a = qm @ np.diag(diag) @ qm.T
-    assert min_symmetric_eigenvalue(a) == pytest.approx(-2.0, abs=1e-10)
+    assert symmetric_eigenvalues(a)[0] == pytest.approx(-2.0, abs=1e-10)
     assert symmetric_eigenvalues(a) == pytest.approx(np.linalg.eigvalsh(a), abs=1e-14)
 
 

@@ -14,11 +14,11 @@ from dimwalk.models import example_fourier_seq, hs_model_seq, HSModelSpec
 from dimwalk.walk import (
     CoeffSeq,
     _rounding_bound,
+    _walks_agree,
     step_up,
     verify_walk_equivalence,
     walk_closed_form,
     walk_recursive,
-    zero_row_identity_check,
 )
 from dimwalk.weights import even_weights, odd_weights
 
@@ -236,11 +236,17 @@ def test_float_closed_form_at_k50_within_half_the_rounding_bound():
 
 
 def test_zero_row_identity():
+    # b'_0 = b_0 - 2/(d(d+3)) b_2: exact for exact inputs, within the walk
+    # tolerance for floats
     rnd = random.Random(12)
     for d in (1, 2, 4):
-        seq = random_exact_signed(rnd, 8, dimension=d)
-        assert zero_row_identity_check(seq)
-        assert zero_row_identity_check(seq.to_floats())
+        head = CoeffSeq.exact(d, random_exact_signed(rnd, 8, dimension=d).values[:3])
+        b = head.values
+        assert step_up(head).values[0] == b[0] - Q(2, d * (d + 3)) * b[2]
+        fhead = head.to_floats()
+        b = fhead.values
+        want = (b[0] - 2 / (d * (d + 3)) * b[2],)
+        assert _walks_agree(fhead, 1, step_up(fhead).values, want)
 
 
 def test_zero_row_identity_coefficients():
