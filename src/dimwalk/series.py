@@ -46,13 +46,19 @@ class ResolutionError(ValueError):
     """Grid or quadrature order too small for the requested n_max."""
 
 
+class _RangeError(ValueError):
+    """A series value past the float range. ``_evaluate`` raises it at once:
+    a retry angle by angle would only raise it again."""
+
+
 @dataclass(frozen=True)
 class SphericalModel:
     """An evaluable correlation function on [0, pi].
 
     ``evaluator`` maps a float angle to a float and an ndarray of angles to an
     array of the same shape. One that raises TypeError or ValueError on an
-    array, or returns the wrong shape, is called once per angle instead.
+    array, or returns the wrong shape, is called once per angle instead; a
+    series value past the float range is raised at once.
     """
 
     name: str
@@ -138,7 +144,7 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     bad = ~(np.isfinite(y1) | at_zero)
     if bad.any():
         t = float(np.asarray(theta, dtype=float)[bad][0])
-        raise ValueError(f"the series value at theta = {t!r} lies outside the float range")
+        raise _RangeError(f"the series value at theta = {t!r} lies outside the float range")
     return y1 if psi0 is None else np.where(at_zero, psi0, y1)
 
 
@@ -169,6 +175,8 @@ def _evaluate(model: SphericalModel, theta: np.ndarray) -> np.ndarray:
         psi = np.asarray(model.evaluator(theta), dtype=float)
         if psi.shape == theta.shape:
             return psi
+    except _RangeError:
+        raise
     except (TypeError, ValueError):  # e.g. math.cos, or `if theta < 1` on an array
         pass
     return np.array([float(model.evaluator(float(t))) for t in theta])

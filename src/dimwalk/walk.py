@@ -5,13 +5,14 @@ fixed sphere dimension. Each two-dimension step consumes the two trailing
 entries (nothing is ever extrapolated past the truncation), so a k-step walk
 shortens the sequence by 2k while raising the dimension by 2k.
 
-Two routes compute the same walk: repeated application of the two-step
-recursion (``walk_recursive``, k calls of ``step_up``) and the closed form
-(``walk_closed_form``), Horner's rule over the term ratios of the weight
-rows (``weights._row_terms``). ``verify_walk_equivalence`` runs both.
-Exact walks build one reduced Fraction per entry. Float walks are numpy
-array chains over the whole index range: a step, or a Horner level, is one
-vector expression. All transformations are pure.
+Two routes compute the same walk: the two-step recursion
+(``walk_recursive``, k steps in one kernel call; ``step_up`` is one step)
+and the closed form (``walk_closed_form``), Horner's rule over the term
+ratios of the weight rows (``weights._row_terms``), compensated for floats.
+``verify_walk_equivalence`` runs both. Exact walks build one reduced
+Fraction per entry. Float walks are numpy array chains over the whole index
+range: a step, or a Horner level, is one vector expression. All
+transformations are pure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -99,26 +99,36 @@ class CoeffSeq:
         return CoeffSeq.floats(self.dimension, self.values)
 
 
-def _step_entry(n: int, d: int, x: Fraction, y: Fraction) -> Fraction:
-    """Exact output entry n of a d -> d+2 step from x = b_n and y = b_{n+2}.
-
-    With the step written as b'_n = (p/q) b_n - (r/s) b_{n+2} in integers
-    p, q, r, s, the entry is one reduced Fraction built from integer
-    numerators and denominators.
-    """
+def _step_terms(n: np.ndarray, d: int):
+    """Integers (p, q, r, s) of the d -> d+2 step b'_n = (p/q) b_n - (r/s) b_(n+2)
+    for an index array n of int64 or (object dtype) ints."""
     if d == 1:
-        p, q, r, s = (1, 1, 1, 2) if n == 0 else (n + 1, 2, n + 1, 2)
-    else:
-        p, q = (n + d - 1) * (n + d), d * (2 * n + d - 1)
-        r, s = (n + 1) * (n + 2), d * (2 * n + d + 3)
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    return Fraction(p * s * xn * yd - r * q * yn * xd, q * s * xd * yd)
+        q = np.full_like(n, 2)
+        q[0] = 1  # b'_0 = b_0 - b_2 / 2
+        return n + 1, q, n + 1, 2
+    return (n + d - 1) * (n + d), d * (2 * n + d - 1), (n + 1) * (n + 2), d * (2 * n + d + 3)
 
 
-def _float_steps(v: np.ndarray, d: int, k: int) -> np.ndarray:
+def _exact_steps(values: tuple, d: int, k: int) -> tuple:
+    """k exact steps from dimension d over object arrays of integer numerators
+    and denominators, reduced by their gcd between steps; one Fraction per
+    entry after the last step, which Fraction reduces itself."""
+    num, den = np.array([v.as_integer_ratio() for v in values], dtype=object).T
+    for step in range(k):
+        if step:
+            g = np.gcd(num, den)
+            num, den = num // g, den // g
+        p, q, r, s = _step_terms(np.arange(len(num) - 2, dtype=object), d + 2 * step)
+        xn, xd, yn, yd = num[:-2], den[:-2], num[2:], den[2:]
+        num, den = p * s * xn * yd - r * q * yn * xd, q * s * xd * yd
+    return tuple(map(Fraction, num, den))
+
+
+def _float_steps(v: np.ndarray, d: int, k: int) -> tuple[np.ndarray, bool]:
     """k float steps from dimension d, each one array expression in the
-    displayed operation order of ``step_up``. Overflow gives inf silently;
-    ``CoeffSeq`` rejects it."""
+    displayed operation order of ``step_up``: the last array, and whether
+    every step stayed finite. Overflow gives inf silently."""
+    finite = True
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             n = np.arange(len(v) - 2)
@@ -128,11 +138,24 @@ def _float_steps(v: np.ndarray, d: int, k: int) -> np.ndarray:
                 v = (n + 1) / 2 * (x - y)
                 v[0] = head
             else:
-                a = (n + d - 1) * (n + d) / (d * (2 * n + d - 1))
-                b = (n + 1) * (n + 2) / (d * (2 * n + d + 3))
-                v = a * x - b * y
+                p, q, r, s = _step_terms(n, d)
+                v = p / q * x - r / s * y
+            finite = finite and bool(np.isfinite(v).all())
             d += 2
-    return v
+    return v, finite
+
+
+def _steps(seq: CoeffSeq, k: int) -> CoeffSeq:
+    """k steps of the recursion in one kernel call; output n_max = n_max - 2k."""
+    d = seq.dimension
+    if seq.kind == EXACT:
+        out = _exact_steps(seq.values, d, k)
+    else:
+        v, finite = _float_steps(np.array(seq.values), d, k)
+        if not finite:  # an overflow the later steps dropped
+            raise ValueError("all values must be finite")
+        out = tuple(v.tolist())
+    return CoeffSeq(d + 2 * k, out, seq.kind)
 
 
 def step_up(seq: CoeffSeq) -> CoeffSeq:
@@ -150,12 +173,7 @@ def step_up(seq: CoeffSeq) -> CoeffSeq:
     """
     if seq.n_max < 2:
         raise ValueError("need n_max >= 2 to form any output entry")
-    d, v = seq.dimension, seq.values
-    if seq.kind == EXACT:
-        out = tuple(_step_entry(n, d, v[n], v[n + 2]) for n in range(seq.n_max - 1))
-    else:
-        out = tuple(_float_steps(np.array(v), d, 1).tolist())
-    return CoeffSeq(d + 2, out, seq.kind)
+    return _steps(seq, 1)
 
 
 def _check_walk(seq: CoeffSeq, k: int) -> None:
@@ -166,12 +184,36 @@ def _check_walk(seq: CoeffSeq, k: int) -> None:
 
 
 def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
-    """Walk a sequence of any dimension up by 2k through k calls of ``step_up``;
-    output n_max = n_max - 2k."""
+    """Walk a sequence of any dimension up by 2k: the k steps of ``step_up``
+    in one kernel call; output n_max = n_max - 2k."""
     _check_walk(seq, k)
-    for _ in range(k):
-        seq = step_up(seq)
-    return seq
+    return _steps(seq, k)
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and e with s + e = a + b exactly."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct: p = fl(a * b) and e with p + e = a * b exactly,
+    from splits into 26-bit halves (numpy has no FMA). The splits overflow
+    for |a| or |b| from about 2^997, and e is then not finite."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _quotient(a, c):
+    """r = fl(a / c) for integers a, c below 2^53, and rho = fl((a - r c) / c)
+    from the remainder a - r c, which is a float and computed exactly."""
+    r = a / c
+    p, e = _two_product(r, c)
+    return r, ((a - p) - e) / c
 
 
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
@@ -181,9 +223,18 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     even-target weight row, taken by Horner's rule over the term ratios
     r_i = w_(i+1)/w_i of ``_row_terms`` as
     w_0 * (b_n + r_0 * (b_(n+2) + ... + r_(k-1) * b_(n+2k))), one array
-    expression per level over all n; output n_max = n_max - 2k. The odd
-    n = 0 row starts with the piecewise w_0 = 1, not the product, so that
-    entry is the dot product of ``odd_weights(0, k)``, summed in order of i.
+    expression per level over all n; output n_max = n_max - 2k.
+
+    Floats run the compensated Horner scheme (Graillat, Langlois & Louvet,
+    2005): error-free transformations carry the rounding error of every
+    ratio, product and sum, and of the product w_0 of k quotients, in a
+    second array that is added once at the end. Where that correction is
+    not finite (the splits overflow from about 2^997), the entry keeps the
+    plain Horner value w_0 * acc, whose high parts the scheme shares.
+
+    The odd n = 0 row starts with the piecewise w_0 = 1, not the product, so
+    that entry is the exact dot product of ``odd_weights(0, k)`` with the
+    inputs, rounded once for floats.
     """
     if seq.dimension not in (1, 2):
         raise ValueError(
@@ -208,14 +259,23 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     else:
         b = np.array(seq.values)
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = b[2 * k :]
+            acc, err = b[2 * k :], 0.0
             for i, (a, c) in levels:
-                acc = b[2 * i : 2 * i + count] + a / c * acc
-            out = (math.prod(num / den for num, den in factors) * acc).tolist()
+                r, rho = _quotient(a, c)
+                p, pi = _two_product(r, acc)
+                s, sigma = _two_sum(b[2 * i : 2 * i + count], p)
+                acc, err = s, sigma + pi + r * err + rho * acc
+            w0, w0_err = 1.0, 0.0
+            for num, den in factors:
+                q, rho = _quotient(num, den)
+                p, e = _two_product(w0, q)
+                w0, w0_err = p, e + w0 * rho + w0_err * q
+            p, e = _two_product(w0, acc)
+            corr = e + w0 * err + w0_err * acc
+            out = np.where(np.isfinite(corr), p + corr, p).tolist()
     if parity == ODD:
-        row = odd_weights(0, k)
-        head = row.weights if exact else row.as_floats()
-        out[0] = reduce(add, map(mul, head, seq.values[::2]))
+        head = sum(map(mul, odd_weights(0, k).weights, map(Fraction, seq.values[::2])))
+        out[0] = head if exact else _to_float(head, "the walked value n = 0")
     return CoeffSeq(seq.dimension + 2 * k, tuple(out), seq.kind)
 
 
@@ -239,7 +299,7 @@ def _rounding_bound(seq: CoeffSeq, k: int) -> np.ndarray:
     """
     sign = np.where(np.arange(seq.n_max + 1) // 2 % 2, -1.0, 1.0)
     signed = sign * (np.abs(seq.values) * 2.0**-53 + 2.0**-1074)
-    walked = _float_steps(signed, seq.dimension, k)
+    walked, _ = _float_steps(signed, seq.dimension, k)
     return 8 * (k + 1) * sign[: len(walked)] * walked
 
 

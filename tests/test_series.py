@@ -139,6 +139,22 @@ def test_evaluate_value_past_float_range_names_its_angle():
         model.evaluator(np.array([0.0, 2.0, 3.0]))
 
 
+def test_series_past_float_range_raises_after_one_evaluator_call():
+    # the array call already names the first angle past the float range, so
+    # extraction does not retry the 4097 angles one by one
+    model = model_from_seq(CoeffSeq.floats(1, [1e308, -1e308] + [0.0] * 1999))
+    calls = []
+
+    def counted(theta):
+        calls.append(np.shape(theta))
+        return model.evaluator(theta)
+
+    angle = r"theta = 2\.4950197514959953 lies outside the float range"
+    with pytest.raises(ValueError, match=angle):
+        extract_fourier(SphericalModel("counted", counted), 10, 4097)
+    assert calls == [(4097,)]
+
+
 def test_evaluate_array_matches_scalar_calls():
     rnd = random.Random(5)
     thetas = np.array([[0.0, 0.4, 1.3], [2.2, 3.0, math.pi]])

@@ -190,6 +190,15 @@ def test_equivalence_float_near_overflow():
     assert verify_walk_equivalence(seq, 1) is True
 
 
+def test_float_recursion_rejects_an_overflow_a_later_step_drops():
+    # step 1 overflows at n = 1, which step 2 (from n_max 2) never reads
+    seq = CoeffSeq.floats(1, [0.0, 1e308, 0.0, -1e308, 0.0])
+    with pytest.raises(ValueError, match="all values must be finite"):
+        step_up(seq)
+    with pytest.raises(ValueError, match="all values must be finite"):
+        walk_recursive(seq, 2)
+
+
 @pytest.mark.parametrize("k", (32, 50))
 def test_exact_closed_form_equals_recursion_at_large_k(k):
     # a rational input padded with 2k zeros, past the property tests' k <= 6
