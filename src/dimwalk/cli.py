@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,25 +29,6 @@ EXIT_RESOLUTION = 4
 EXIT_MEMBERSHIP = 5
 
 _DEFAULT_GRID_FLOOR = 4097
-
-
-def _thread_cap() -> int | None:
-    """Optional SCHOENBERG_THREADS cap on internal parallelism.
-
-    Command dispatch here computes serially, so any positive cap is already
-    honored; the value is validated and otherwise informational.
-    """
-    raw = os.environ.get("SCHOENBERG_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid SCHOENBERG_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return cap
 
 
 def _fail(message: str, code: int) -> int:
@@ -310,7 +290,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    _thread_cap()
     try:
         return args.func(args)
     except series.ResolutionError as exc:

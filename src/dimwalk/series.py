@@ -46,19 +46,13 @@ class ResolutionError(ValueError):
     """Grid or quadrature order too small for the requested n_max."""
 
 
-class _RangeError(ValueError):
-    """A series value past the float range. ``_evaluate`` raises it at once:
-    a retry angle by angle would only raise it again."""
-
-
 @dataclass(frozen=True)
 class SphericalModel:
     """An evaluable correlation function on [0, pi].
 
     ``evaluator`` maps a float angle to a float and an ndarray of angles to an
-    array of the same shape. One that raises TypeError or ValueError on an
-    array, or returns the wrong shape, is called once per angle instead; a
-    series value past the float range is raised at once.
+    array of the same shape. Extraction and the Gram check call it once with
+    all their angles; a result of another shape raises ValueError.
     """
 
     name: str
@@ -144,7 +138,7 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     bad = ~(np.isfinite(y1) | at_zero)
     if bad.any():
         t = float(np.asarray(theta, dtype=float)[bad][0])
-        raise _RangeError(f"the series value at theta = {t!r} lies outside the float range")
+        raise ValueError(f"the series value at theta = {t!r} lies outside the float range")
     return y1 if psi0 is None else np.where(at_zero, psi0, y1)
 
 
@@ -169,17 +163,13 @@ def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
 
 
 def _evaluate(model: SphericalModel, theta: np.ndarray) -> np.ndarray:
-    """psi at an array of angles in one evaluator call, or per angle for an
-    evaluator that only takes floats."""
-    try:
-        psi = np.asarray(model.evaluator(theta), dtype=float)
-        if psi.shape == theta.shape:
-            return psi
-    except _RangeError:
-        raise
-    except (TypeError, ValueError):  # e.g. math.cos, or `if theta < 1` on an array
-        pass
-    return np.array([float(model.evaluator(float(t))) for t in theta])
+    """psi at an array of angles in one evaluator call."""
+    psi = np.asarray(model.evaluator(theta), dtype=float)
+    if psi.shape != theta.shape:
+        raise ValueError(
+            f"model {model.name!r} returned shape {psi.shape} for {theta.shape} angles"
+        )
+    return psi
 
 
 def extract_fourier(model: SphericalModel, n_max: int, grid_size: int) -> CoeffSeq:
@@ -325,38 +315,16 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.T) / 2.0)
 
 
-def _sphere_points(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count pseudo-random unit vectors in R^(dimension+1), pairwise distinct.
-
-    Normalized standard Gaussians; rows that collapse (zero norm) or collide
-    with an earlier point (inner product at 1 within 1e-12) are redrawn.
-    """
-    pts = rng.standard_normal((count, dimension + 1))
-    for _ in range(100):
-        norms = np.linalg.norm(pts, axis=1)
-        tiny = norms < 1e-12
-        if np.any(tiny):
-            pts[tiny] = rng.standard_normal((int(np.sum(tiny)), dimension + 1))
-            continue
-        unit = pts / norms[:, None]
-        dots = unit @ unit.T
-        np.fill_diagonal(dots, 0.0)
-        dup_rows = np.unique(np.argwhere(dots > 1.0 - 1e-12)[:, 0])
-        if dup_rows.size == 0:
-            return unit
-        pts[dup_rows] = rng.standard_normal((dup_rows.size, dimension + 1))
-    raise RuntimeError("could not draw pairwise distinct sphere points")
-
-
 def gram_psd_check(
     model: SphericalModel, dimension: int, point_count: int, seed: int = 0
 ) -> GramReport:
     """Random-point positive-semidefiniteness spot check on the dimension-sphere.
 
-    Draws point_count unit vectors from seeded Gaussians (PCG64 behind
-    numpy's default generator), forms the kernel matrix
-    psi(arccos <x_i, x_j>) with inner products clamped to [-1, 1] before the
-    arccos, and takes its minimum eigenvalue from LAPACK ``eigvalsh``. The
+    The points are the rows of ``np.random.default_rng(seed).standard_normal(
+    (point_count, dimension + 1))`` (PCG64) over their norms, never redrawn: a
+    PSD kernel gives a PSD matrix on any point set. The kernel matrix
+    psi(arccos <x_i, x_j>), inner products clamped to [-1, 1] before the
+    arccos, has its minimum eigenvalue from LAPACK ``eigvalsh``. The
     upper triangle comes from one evaluation of psi, the diagonal is psi(0).
     Passing means min eigenvalue >= -1e-9 * point_count. A failure report carries the
     seed so the witness configuration can be replayed.
@@ -365,8 +333,8 @@ def gram_psd_check(
         raise ValueError("dimension must be >= 1")
     if point_count < 2:
         raise ValueError("point_count must be >= 2")
-    rng = np.random.default_rng(seed)
-    pts = _sphere_points(dimension, point_count, rng)
+    pts = np.random.default_rng(seed).standard_normal((point_count, dimension + 1))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
     dots = np.clip(pts @ pts.T, -1.0, 1.0)
     upper = np.triu_indices(point_count, 1)
     g = np.empty((point_count, point_count))

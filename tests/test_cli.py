@@ -574,16 +574,6 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_cap_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SCHOENBERG_THREADS", "4")
-    code, out, err = run(capsys, "coeffs", "--parity", "odd", "--n", "1", "--k", "1")
-    assert code == 0 and "warning" not in err
-    monkeypatch.setenv("SCHOENBERG_THREADS", "soon")
-    code, out, err = run(capsys, "coeffs", "--parity", "odd", "--n", "1", "--k", "1")
-    assert code == 0
-    assert "SCHOENBERG_THREADS" in err
-
-
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -268,12 +268,25 @@ def test_extract_fourier_equals_dense_trapezoid():
         assert got.values == pytest.approx(dense.tolist(), rel=0, abs=1e-14)
 
 
-def test_scalar_only_evaluators_fall_back_to_per_angle_calls():
-    branching = SphericalModel("step", lambda t: 1.0 if t < 1.0 else 0.5)
-    vectorized = SphericalModel("step", lambda t: np.where(t < 1.0, 1.0, 0.5))
-    assert extract_fourier(branching, 8, 33) == extract_fourier(vectorized, 8, 33)
-    constant = SphericalModel("const", lambda t: 1.0)  # a float even for an array
-    assert extract_legendre(constant, 5, 16) == extract_legendre(get_model("one"), 5, 16)
+def test_wrong_shape_evaluator_raises_after_one_call():
+    calls = []
+
+    def constant(theta):  # a float even for an array of angles
+        calls.append(np.shape(theta))
+        return 1.0
+
+    model = SphericalModel("const", constant)
+    with pytest.raises(ValueError, match="model 'const'"):
+        extract_legendre(model, 5, 16)
+    assert calls == [(16,)]
+    calls.clear()
+    with pytest.raises(ValueError, match="model 'const'"):
+        extract_fourier(model, 8, 33)
+    assert calls == [(33,)]
+    calls.clear()
+    with pytest.raises(ValueError, match="model 'const'"):
+        gram_psd_check(model, 2, 5)
+    assert calls == [(10,)]
 
 
 def test_extract_legendre_orthogonality():
@@ -417,7 +430,7 @@ def test_gram_cosine_passes_on_s2():
 
 
 def test_gram_detects_negative_coefficient():
-    bad = SphericalModel("negcos", lambda t: -math.cos(t))
+    bad = SphericalModel("negcos", lambda t: -np.cos(t))
     report = gram_psd_check(bad, 2, 20, seed=7)
     assert not report.psd_pass
     assert report.min_eigen_estimate < -1.0
@@ -430,6 +443,22 @@ def test_gram_exact_sequence_matches_its_float_image():
     exact = gram_psd_check(model_from_seq(seq), 3, 25, seed=2)
     floats = gram_psd_check(model_from_seq(seq.to_floats()), 3, 25, seed=2)
     assert exact == floats
+
+
+@pytest.mark.parametrize("d, m, seed", [(1, 2, 0), (1, 40, 7), (2, 25, 3), (5, 60, 11)])
+def test_gram_uses_the_documented_points(d, m, seed):
+    # normalized rows of default_rng(seed).standard_normal((m, d + 1)), never
+    # redrawn; the kernel built the same way gives the same eigenvalue bit for bit
+    model = model_from_seq(random_exact_normalized(random.Random(seed), 12, dimension=d))
+    pts = np.random.default_rng(seed).standard_normal((m, d + 1))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    upper = np.triu_indices(m, 1)
+    g = np.empty((m, m))
+    g[upper] = model.evaluator(np.arccos(np.clip(pts @ pts.T, -1.0, 1.0)[upper]))
+    g[upper[::-1]] = g[upper]
+    np.fill_diagonal(g, model.evaluator(0.0))
+    expected = float(np.linalg.eigvalsh(g)[0])
+    assert gram_psd_check(model, d, m, seed).min_eigen_estimate == expected
 
 
 def test_gram_is_deterministic_in_the_seed():
