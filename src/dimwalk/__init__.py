@@ -15,6 +15,7 @@ from .models import (
     example_fourier_seq,
     example_psi,
     example_walked_closed_form_seq,
+    example_walked_seq,
     get_model,
     hs_model_seq,
 )
@@ -37,7 +38,6 @@ from .series import (
     gauss_legendre_rule,
     gram_psd_check,
     model_from_seq,
-    normalized_basis,
     symmetric_eigenvalues,
 )
 from .walk import (

@@ -165,7 +165,7 @@ def _index_runs(indices) -> str:
 
 def cmd_verify(args) -> int:
     seq = seqio.read_sequence(args.input)
-    report = series.check_membership(seq, strict=args.strict)
+    report = series.check_membership(seq)
     print(f"nonnegativity: {'pass' if report.nonneg_ok else 'FAIL'}")
     if report.violations:
         print(f"  negative entries: {len(report.violations)} at n = "
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     print(f"positive entries: even {report.positive_even}, odd {report.positive_odd}")
     if args.strict:
         print(f"strict evidence: {'pass' if report.strict_evidence_ok else 'FAIL'}")
-    failed = not report.ok
+    failed = not report.nonneg_ok or (args.strict and not report.strict_evidence_ok)
     if args.gram:
         dimension = args.dimension if args.dimension is not None else seq.dimension
         gram = series.gram_psd_check(
@@ -201,8 +201,7 @@ def cmd_model(args) -> int:
     elif args.closed_form:
         seq = models.example_walked_closed_form_seq(args.n_max, args.walked_k)
     else:
-        base = models.example_fourier_seq(args.n_max + 2 * args.walked_k)
-        seq = walk.walk_closed_form(base, args.walked_k)
+        seq = models.example_walked_seq(args.n_max, args.walked_k)
     seqio.write_sequence(args.output, seq)
     return EXIT_OK
 

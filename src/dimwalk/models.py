@@ -20,6 +20,7 @@ import numpy as np
 
 from .series import SphericalModel, model_from_seq
 from .walk import CoeffSeq
+from .weights import odd_weights
 
 __all__ = [
     "HSModelSpec",
@@ -27,6 +28,7 @@ __all__ = [
     "example_psi",
     "example_closed_form",
     "example_walked_closed_form_seq",
+    "example_walked_seq",
     "hs_model_seq",
     "MODEL_NAMES",
     "get_model",
@@ -83,6 +85,20 @@ def example_walked_closed_form_seq(n_max: int, k: int) -> CoeffSeq:
         raise ValueError("k must be >= 1")
     vals = [0.0] + [example_closed_form(n, k) for n in range(1, n_max + 1)]
     return CoeffSeq.floats(2 * k + 1, vals)
+
+
+def example_walked_seq(n_max: int, k: int) -> CoeffSeq:
+    """The inverse-square family walked to dimension 2k+1: entries n >= 1
+    from the closed form and n = 0 the walk's own, negative, entry
+    (6/pi^2) sum_(i=1..k) w_i(0, k)/(2i)^2 with w = odd_weights(0, k), the
+    sum exact and rounded once (-3/(4 pi^2) at k = 1).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    seq = example_walked_closed_form_seq(max(n_max, 1), k)  # n_max = 0 keeps n = 0 only
+    w = odd_weights(0, k).weights
+    b0 = 6.0 * float(sum(w[i] / (2 * i) ** 2 for i in range(1, k + 1))) / math.pi**2
+    return CoeffSeq.floats(seq.dimension, (b0,) + seq.values[1 : n_max + 1])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ independent row by row.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ __all__ = [
     "SphericalModel",
     "GramReport",
     "MembershipReport",
-    "normalized_basis",
     "evaluate_series",
     "model_from_seq",
     "extract_fourier",
@@ -88,24 +88,6 @@ def _recurrence(d: int, n_max: int) -> tuple[tuple[float, ...], tuple[float, ...
     return a, c
 
 
-def normalized_basis(d: int, n: int, theta: float) -> float:
-    """Degree-n basis function for sphere dimension d, equal to 1 at theta = 0.
-
-    d = 1 gives cos(n theta), d = 2 the Legendre polynomial P_n(cos theta),
-    and d >= 3 the ultraspherical polynomial of parameter (d-1)/2 divided by
-    its value at 1.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_theta(theta)
-    if d == 1:
-        return math.cos(n * theta)
-    (row,) = deque(_basis_rows(d, n, np.array([math.cos(theta)])), maxlen=1)
-    return float(row[0])
-
-
 def _basis_rows(d: int, n_max: int, x: np.ndarray):
     """Yield the normalized basis rows n = 0..n_max at x = cos(theta) points."""
     a, c = _recurrence(d, n_max)
@@ -115,26 +97,38 @@ def _basis_rows(d: int, n_max: int, x: np.ndarray):
         q0, q1 = q1, a[j] * x * q1 + c[j] * q0
 
 
-def _clenshaw(d: int, b, theta, total: Callable[[], float]):
-    """sum_n b_n Q_n(cos theta) for a float or an array theta, with total()
-    at theta = 0. The backward recurrence y_j = b_j + a_j x y_{j+1} + c_{j+1}
-    y_{j+2} runs over plain floats, so one loop serves a float and an array x.
-    A value past the float range raises ValueError naming its angle.
+def evaluate_series(seq: CoeffSeq, theta):
+    """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
+
+    A float theta gives a float, an ndarray an array of the same shape; every
+    angle must lie in [0, pi], and theta = 0 gives the coefficient sum (exact
+    for exact sequences). d = 1 is Re(sum_n b_n z^n) by Horner's rule in
+    z = e^(i theta), accurate near the poles; d >= 2 is the Clenshaw
+    recurrence y_j = b_j + a_j x y_(j+1) + c_(j+1) y_(j+2) in x = cos(theta).
+    Both loops serve a float and an array. A value past the float range
+    raises ValueError naming its angle.
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
     at_zero = np.asarray(theta) == 0.0
-    # total() first: it raises for a sum past the float range
-    psi0 = total() if at_zero.any() else None
+    # the total first: it raises for a sum past the float range
+    psi0 = seq.float_total() if at_zero.any() else None
     if scalar and psi0 is not None:
         return psi0
-    x = math.cos(theta) if scalar else np.cos(np.asarray(theta, dtype=float))
-    n_max = len(b) - 1
-    a, c = _recurrence(d, n_max)
-    y1 = y2 = 0.0
+    b = seq.to_floats().values
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        for j in range(n_max, -1, -1):
-            y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
+        if seq.dimension == 1:
+            z = cmath.exp(1j * theta) if scalar else np.exp(1j * np.asarray(theta, dtype=float))
+            y = 0j
+            for v in reversed(b):
+                y = y * z + v
+            y1 = y.real
+        else:
+            x = math.cos(theta) if scalar else np.cos(np.asarray(theta, dtype=float))
+            a, c = _recurrence(seq.dimension, len(b) - 1)
+            y1 = y2 = 0.0
+            for j in range(len(b) - 1, -1, -1):
+                y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
     bad = ~(np.isfinite(y1) | at_zero)
     if bad.any():
         t = float(np.asarray(theta, dtype=float)[bad][0])
@@ -142,24 +136,9 @@ def _clenshaw(d: int, b, theta, total: Callable[[], float]):
     return y1 if psi0 is None else np.where(at_zero, psi0, y1)
 
 
-def evaluate_series(seq: CoeffSeq, theta):
-    """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
-
-    A float theta gives a float, an ndarray an array of the same shape; every
-    angle must lie in [0, pi]. theta = 0 gives the coefficient sum (exact for
-    exact sequences). Every dimension uses one Clenshaw recurrence in cos(theta).
-    """
-    return _clenshaw(seq.dimension, seq.to_floats().values, theta, seq.float_total)
-
-
 def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:
-    """Wrap a coefficient sequence as an evaluable model (truncated series).
-
-    Exact values become floats once, here; psi(0) stays the exact total.
-    """
-    b = seq.to_floats().values
-    total = seq.float_total()
-    return SphericalModel(name, lambda theta: _clenshaw(seq.dimension, b, theta, lambda: total))
+    """The truncated series of a sequence as a model; its evaluator is ``evaluate_series``."""
+    return SphericalModel(name, lambda theta: evaluate_series(seq, theta))
 
 
 def _evaluate(model: SphericalModel, theta: np.ndarray) -> np.ndarray:
@@ -259,10 +238,10 @@ def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
 class MembershipReport:
     """Truncation-level membership evidence for a coefficient sequence.
 
-    This is evidence, not proof: nonnegativity and the normalization defect
-    are checked on the available entries only, and the per-parity counts of
-    strictly positive entries can never certify the infinitely-many
-    condition required for strict positive definiteness.
+    Facts only, and evidence, not proof: nonnegativity and the normalization
+    defect are checked on the available entries only, and the per-parity
+    counts of strictly positive entries can never certify the infinitely-many
+    condition for strict positive definiteness. The caller decides what must hold.
     """
 
     nonneg_ok: bool
@@ -270,20 +249,13 @@ class MembershipReport:
     normalization_defect: float
     positive_even: int
     positive_odd: int
-    strict: bool
 
     @property
     def strict_evidence_ok(self) -> bool:
         return self.positive_even > 0 and self.positive_odd > 0
 
-    @property
-    def ok(self) -> bool:
-        if not self.nonneg_ok:
-            return False
-        return self.strict_evidence_ok if self.strict else True
 
-
-def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
+def check_membership(seq: CoeffSeq) -> MembershipReport:
     """Report nonnegativity violations, |sum - 1|, and parity counts."""
     vals = seq.to_floats().values
     violations = tuple(n for n, v in enumerate(vals) if v < -NONNEG_TOL)
@@ -296,7 +268,6 @@ def check_membership(seq: CoeffSeq, strict: bool = False) -> MembershipReport:
         normalization_defect=defect,
         positive_even=positive_even,
         positive_odd=positive_odd,
-        strict=strict,
     )
 
 

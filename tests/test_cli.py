@@ -10,12 +10,14 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 from scipy.fft import dct
 
 from dimwalk import cli, walk
+from dimwalk.models import example_closed_form
 from dimwalk.seqio import read_sequence, write_sequence
 from dimwalk.walk import CoeffSeq
 
@@ -519,6 +521,27 @@ def test_model_walked_recursion_route(capsys, tmp_path):
     assert seq.dimension == 3 and seq.n_max == 50
     # the raw walk keeps the (negative) n = 0 entry
     assert seq.values[0] == pytest.approx(-3 / (4 * math.pi**2), rel=1e-13)
+
+
+def test_model_walked_entries_come_from_the_closed_form(capsys, tmp_path):
+    dst = tmp_path / "w8.json"
+    code, _, _ = run(
+        capsys, "model", "example31", "--walked-k", "8", "--n-max", "4000",
+        "--output", str(dst),
+    )
+    assert code == 0
+    seq = read_sequence(dst)
+    assert seq.dimension == 17 and seq.n_max == 4000
+    assert all(seq.values[n] == example_closed_form(n, 8) for n in range(1, 4001))
+    # n = 0: the exact recursive walk of 1/n^2, scaled by 6/pi^2 at 40 digits
+    inverse_square = CoeffSeq.exact(1, [0] + [Q(1, n * n) for n in range(1, 17)])
+    head = walk.walk_recursive(inverse_square, 8).values[0]
+    with mpmath.workdps(40):
+        exact = 6 * mpmath.mpf(head.numerator) / head.denominator / mpmath.pi**2
+        assert abs(seq.values[0] - exact) <= 1e-15 * abs(exact)
+    code, out, _ = run(capsys, "verify", "--input", str(dst))
+    assert code == 5
+    assert "negative entries: 1 at n = 0\n" in out
 
 
 def test_model_argument_errors(capsys, tmp_path):

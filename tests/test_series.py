@@ -1,7 +1,8 @@
-"""Series numerics: basis evaluation against scipy, Clenshaw vs direct
-summation, quadrature rules against textbook values and numpy, extraction
-round-trips, the walk/extraction commutation, membership evidence, the
-eigenvalue wrapper's contract, and Gram positive-definiteness spot checks.
+"""Series numerics: unit-vector series against scipy's basis functions,
+evaluation vs direct summation and 40-digit sums near the poles, quadrature
+rules against textbook values and numpy, extraction round-trips, the
+walk/extraction commutation, membership evidence, the eigenvalue wrapper's
+contract, and Gram positive-definiteness spot checks.
 """
 
 import math
@@ -9,6 +10,7 @@ import random
 import tracemalloc
 from fractions import Fraction as Q
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_legendre
@@ -27,7 +29,6 @@ from dimwalk.series import (
     gauss_legendre_rule,
     gram_psd_check,
     model_from_seq,
-    normalized_basis,
     symmetric_eigenvalues,
 )
 from dimwalk.walk import CoeffSeq, walk_closed_form
@@ -39,24 +40,35 @@ from oracles import project_series
 # -- basis ---------------------------------------------------------------
 
 
+def basis(d, n, theta):
+    """The degree-n basis function at theta, as the series of the unit vector e_n."""
+    return evaluate_series(CoeffSeq.floats(d, [0.0] * n + [1.0]), theta)
+
+
+def scipy_basis(d, n, theta):
+    """cos(n theta), or the Gegenbauer polynomial of parameter (d-1)/2 over its value at 1."""
+    if d == 1:
+        return math.cos(n * theta)
+    lam = (d - 1) / 2
+    return float(eval_gegenbauer(n, lam, math.cos(theta)) / eval_gegenbauer(n, lam, 1.0))
+
+
 def test_basis_trivial_values():
     for d in (1, 2, 3, 7):
-        assert normalized_basis(d, 0, 1.234) == 1.0
+        assert basis(d, 0, 1.234) == 1.0
         for n in (0, 1, 5, 40):
-            assert normalized_basis(d, n, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert normalized_basis(1, 2, math.pi / 2) == pytest.approx(-1.0, abs=1e-15)
-    assert normalized_basis(2, 2, math.pi / 2) == pytest.approx(-0.5, abs=1e-15)
+            assert basis(d, n, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert basis(1, 2, math.pi / 2) == pytest.approx(-1.0, abs=1e-15)
+    assert basis(2, 2, math.pi / 2) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_basis_argument_errors():
     with pytest.raises(ValueError):
-        normalized_basis(0, 1, 0.5)
+        basis(0, 1, 0.5)
     with pytest.raises(ValueError):
-        normalized_basis(2, -1, 0.5)
+        basis(2, 1, -0.1)
     with pytest.raises(ValueError):
-        normalized_basis(2, 1, -0.1)
-    with pytest.raises(ValueError):
-        normalized_basis(2, 1, math.pi + 0.1)
+        basis(2, 1, math.pi + 0.1)
 
 
 def test_basis_matches_scipy():
@@ -64,14 +76,13 @@ def test_basis_matches_scipy():
     for n in (0, 1, 2, 7, 12, 50):
         for t in thetas:
             x = math.cos(t)
-            assert normalized_basis(1, n, t) == pytest.approx(math.cos(n * t), abs=1e-12)
-            assert normalized_basis(2, n, t) == pytest.approx(
+            assert basis(1, n, t) == pytest.approx(math.cos(n * t), abs=1e-12)
+            assert basis(2, n, t) == pytest.approx(
                 float(eval_legendre(n, x)), rel=1e-10, abs=1e-12
             )
             for d in (3, 4, 5, 9):
-                lam = (d - 1) / 2
-                ref = float(eval_gegenbauer(n, lam, x) / eval_gegenbauer(n, lam, 1.0))
-                assert normalized_basis(d, n, t) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+                ref = scipy_basis(d, n, t)
+                assert basis(d, n, t) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_basis_is_bounded_by_one():
@@ -103,15 +114,30 @@ def test_evaluate_simple_cases():
 def test_clenshaw_matches_direct_sum():
     rnd = random.Random(77)
     thetas = [0.1, 0.7, 1.5707, 2.9, math.pi]
-    for d in (2, 3, 5):
+    for d in (1, 2, 3, 5):
         vals = [rnd.uniform(-1, 1) for _ in range(41)]
         seq = CoeffSeq.floats(d, vals)
         for t in thetas:
-            direct = math.fsum(
-                v * normalized_basis(d, n, t) for n, v in enumerate(vals)
-            )
+            direct = math.fsum(v * scipy_basis(d, n, t) for n, v in enumerate(vals))
             got = evaluate_series(seq, t)
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_cosine_series_is_accurate_near_the_poles():
+    # the normalized n^-1.1 sequence: its slow decay makes the x = cos(theta)
+    # recurrence lose about n^2 u near theta = 0; Horner in e^(i theta) does not
+    n_max = 2000
+    raw = [0.0] + [n**-1.1 for n in range(1, n_max + 1)]
+    total = math.fsum(raw)
+    vals = [v / total for v in raw]
+    seq = CoeffSeq.floats(1, vals)
+    bound = 16 * 2.0**-53 * len(vals) * math.fsum(map(abs, vals))
+    with mpmath.workdps(40):
+        for t in (1e-8, 1e-6, 1e-4, math.pi - 1e-6):
+            theta = mpmath.mpf(t)
+            ref = mpmath.fsum(mpmath.mpf(v) * mpmath.cos(n * theta) for n, v in enumerate(vals))
+            assert abs(evaluate_series(seq, t) - float(ref)) <= bound, t
+            assert abs(evaluate_series(seq, np.array([t]))[0] - float(ref)) <= bound, t
 
 
 def test_evaluate_rejects_out_of_range_theta():
@@ -368,24 +394,24 @@ def test_membership_flags_negative_entry():
     report = check_membership(seq)
     assert not report.nonneg_ok
     assert report.violations == (2,)
-    assert not report.ok
+    assert report.strict_evidence_ok
 
 
 def test_membership_strict_evidence():
     e0 = CoeffSeq.exact(2, [1, 0, 0])
-    loose = check_membership(e0)
-    assert loose.ok and loose.normalization_defect == 0.0
-    strict = check_membership(e0, strict=True)
-    assert strict.positive_even == 1 and strict.positive_odd == 0
-    assert not strict.strict_evidence_ok
-    assert not strict.ok
-    assert isinstance(strict, MembershipReport)
+    report = check_membership(e0)
+    assert report.nonneg_ok and report.normalization_defect == 0.0
+    assert report.positive_even == 1 and report.positive_odd == 0
+    assert not report.strict_evidence_ok
+    assert isinstance(report, MembershipReport)
+    both = check_membership(CoeffSeq.exact(2, [Q(1, 2), Q(1, 2)]))
+    assert both.nonneg_ok and both.strict_evidence_ok
 
 
 # -- symmetric eigenvalues -------------------------------------------------
 
 
-def test_jacobi_matches_numpy_up_to_contract_size():
+def test_symmetric_eigenvalues_matches_numpy_up_to_contract_size():
     rng = np.random.default_rng(3)
     for n in (3, 30, 120, 200):
         m = rng.standard_normal((n, n))
@@ -396,7 +422,7 @@ def test_jacobi_matches_numpy_up_to_contract_size():
         assert float(np.max(np.abs(mine - ref))) <= 1e-8 * norm
 
 
-def test_jacobi_handles_clustered_spectrum():
+def test_symmetric_eigenvalues_handles_clustered_spectrum():
     rng = np.random.default_rng(8)
     diag = np.array([1.0, 1.0, 1.0 + 1e-9, 5.0, -2.0])
     qm, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -405,7 +431,7 @@ def test_jacobi_handles_clustered_spectrum():
     assert symmetric_eigenvalues(a) == pytest.approx(np.linalg.eigvalsh(a), abs=1e-14)
 
 
-def test_jacobi_input_validation():
+def test_symmetric_eigenvalues_input_validation():
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.ones((2, 3)))
     with pytest.raises(ValueError):
