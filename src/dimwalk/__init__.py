@@ -1,8 +1,8 @@
 """Dimension walks for Schoenberg expansion coefficients on spheres.
 
-Exact closed-form weight rows convert Fourier-cosine (dimension 1) and
-Legendre (dimension 2) expansion coefficients of an isotropic positive
-definite function into its higher-dimensional ultraspherical coefficients;
+Exact closed-form weight rows convert the expansion coefficients of an
+isotropic positive definite function at any dimension (Fourier cosine at 1,
+Legendre at 2) into its higher-dimensional ultraspherical coefficients;
 the recursion route, series evaluation, coefficient extraction, and
 positive-definiteness spot checks round out the toolkit.
 """

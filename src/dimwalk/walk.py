@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
 from .exactnum import _float_tuple, _to_float
-from .weights import EVEN, ODD, _row_terms, odd_weights
+# odd_weights is not called here; it is kept for the benchmark, which traces it by name.
+from .weights import _row_terms, odd_weights  # noqa: F401
 
 __all__ = [
     "EXACT",
@@ -217,10 +217,10 @@ def _quotient(a, c):
 
 
 def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
-    """Walk a dimension-1 or dimension-2 sequence up by 2k in one shot.
+    """Walk a sequence of any dimension d up by 2k in one shot.
 
-    Output entry n is sum_i w_i(n,k) * values[n+2i] with the odd- or
-    even-target weight row, taken by Horner's rule over the term ratios
+    Output entry n is sum_i w_i(n,k) * values[n+2i] with the weight row from
+    dimension d, taken by Horner's rule over the term ratios
     r_i = w_(i+1)/w_i of ``_row_terms`` as
     w_0 * (b_n + r_0 * (b_(n+2) + ... + r_(k-1) * b_(n+2k))), one array
     expression per level over all n; output n_max = n_max - 2k.
@@ -231,21 +231,12 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     second array that is added once at the end. Where that correction is
     not finite (the splits overflow from about 2^997), the entry keeps the
     plain Horner value w_0 * acc, whose high parts the scheme shares.
-
-    The odd n = 0 row starts with the piecewise w_0 = 1, not the product, so
-    that entry is the exact dot product of ``odd_weights(0, k)`` with the
-    inputs, rounded once for floats.
     """
-    if seq.dimension not in (1, 2):
-        raise ValueError(
-            f"closed-form walks start at dimension 1 or 2 (input is {seq.dimension}); "
-            "use the recursion for higher dimensions"
-        )
     _check_walk(seq, k)
-    parity = ODD if seq.dimension == 1 else EVEN
     count = seq.n_max - 2 * k + 1
     exact = seq.kind == EXACT
-    factors, ratios = _row_terms(parity, np.arange(count, dtype=object if exact else float), k)
+    n = np.arange(count, dtype=object if exact else float)
+    factors, ratios = _row_terms(seq.dimension, n, k)
     levels = reversed(list(enumerate(ratios)))
     if exact:
         # each entry one unreduced integer fraction p/q, reduced once
@@ -273,9 +264,6 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
             p, e = _two_product(w0, acc)
             corr = e + w0 * err + w0_err * acc
             out = np.where(np.isfinite(corr), p + corr, p).tolist()
-    if parity == ODD:
-        head = sum(map(mul, odd_weights(0, k).weights, map(Fraction, seq.values[::2])))
-        out[0] = head if exact else _to_float(head, "the walked value n = 0")
     return CoeffSeq(seq.dimension + 2 * k, tuple(out), seq.kind)
 
 

@@ -1,10 +1,13 @@
 """Closed-form dimension-walk weight rows.
 
 A weight row (w_0, ..., w_k) expresses one expansion coefficient 2k sphere
-dimensions up as a linear combination of base-dimension coefficients:
+dimensions up as a linear combination of coefficients at dimension d:
 
-    b[n, 2k+1] = sum_i w_i * b[n+2i, 1]     odd-target rows (Fourier base)
-    b[n, 2k+2] = sum_i w_i * b[n+2i, 2]     even-target rows (Legendre base)
+    b[n, d+2k] = sum_i w_i * b[n+2i, d]
+
+It is the Gegenbauer connection formula (DLMF 18.18.16) with lambda =
+(d-1)/2 and mu = lambda + k, whose factor (-k)_i ends it at k+1 entries.
+``odd_weights`` and ``even_weights`` are the rows from d = 1 and d = 2.
 
 One definition, ``_row_terms``, writes a row as w_0, a product of k integer
 quotients, and k integer term ratios w_(i+1)/w_i, for an int n or an array
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exactnum import _float_tuple
 
@@ -60,35 +64,47 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("k must be >= 1 (the k = 0 walk is the identity)")
 
 
-def _row_terms(parity: str, n, k: int):
+def _row_terms(d: int, n, k: int):
     """Iterators over the k factors (num, den) of w_0 and the k term ratios
-    (num, den) of w_(i+1)/w_i of a row, for an int n or an array n of
-    floats or (object dtype) ints:
+    (num, den) of w_(j+1)/w_j of the row from dimension d, for an int n or
+    an array n of floats or (object dtype) ints. Both are single-pass, so
+    the terms live only while the caller holds them. With lambda = (d-1)/2
+    the Gegenbauer connection formula gives, in the normalized basis,
 
-        odd:  w_0 = prod_j (n+k+j) / (2(2j+1))
-              w_(i+1)/w_i = -(k-i)/(i+1) * (n+2i+2)/(n+2i) * (n+i)/(n+i+k+1)
-        even: w_0 = prod_j (n+2j+1)(n+2j+2) / (2(j+1)(2n+2j+1))
-              w_(i+1)/w_i = -(k-i)/(i+1) * (2n+2i+1)/(2n+2k+2i+3)
+        w_0 = (lambda)_k (n+2 lambda)_(2k) / ((n+lambda)_k (2 lambda)_(2k))
+            = prod_j (n+2j+d-1)(n+2j+d) / ((2j+d)(2n+2j+d-1))
+        w_(j+1)/w_j = -(k-j)/(j+1) * (2n+2j+d-1)(n+2j+1)(n+2j+2)
+                                   / ((2n+2j+2k+d+1)(n+2j+d-1)(n+2j+d))
 
-    The odd (n+i)/(n+2i) is written as 1 at i = 0, so odd n = 0 stays finite.
-    Every num and den is an integer; doubles hold them exactly below 2^53.
+    where the ratio's linear factors n+2j+t shared above and below cancel.
+    d = 1 is the limit lambda -> 0, whose j = 0 terms are 0/0 at n = 0; the
+    limit there is w_0 = 1 and w_1/w_0 = -k/(k+1).
+
+    Every num and den is an integer, exact in doubles below 2^53: for n up
+    to about 9.4e6 at d <= 3 (k <= 50), but from d = 4, where the ratio is
+    cubic in n, only up to 44,700 (k = 50) to 165,000 (k = 1); at d = 5,
+    k = 4 the largest numerator passes 2^53 near n = 104,000.
     """
-    if parity == ODD:
-        factors = ((n + k + j, 2 * (2 * j + 1)) for j in range(k))
-        ratios = ((-(k - i) * (n + 2 * i + 2) * (n + i if i else 1),
-                   (i + 1) * (n + 2 * i if i else 1) * (n + i + k + 1)) for i in range(k))
-    else:
-        factors = (((n + 2 * j + 1) * (n + 2 * j + 2), 2 * (j + 1) * (2 * n + 2 * j + 1))
-                   for j in range(k))
-        ratios = ((-(k - i) * (2 * n + 2 * i + 1), (i + 1) * (2 * n + 2 * k + 2 * i + 3))
-                  for i in range(k))
-    return factors, ratios
+    top, bottom = {1, 2} - {d - 1, d}, {d - 1, d} - {1, 2}
+    h = 2 * n + d - 1
+    ratios = []
+    for j in range(k):
+        m, g = n + 2 * j, h + 2 * j
+        ratios.append((math.prod((m + t for t in top), start=-(k - j) * g),
+                       math.prod((m + t for t in bottom), start=(j + 1) * (g + (2 * k + 2)))))
+    factors = (((n + (2 * j + d - 1)) * (n + (2 * j + d)), (2 * j + d) * (h + 2 * j))
+               for j in range(k))
+    if d == 1:  # the j = 0 terms are 0/0 at n = 0: add the limit's 1/1 and -k/(k+1) there
+        at0 = n == 0
+        (a, b), (c, e) = next(factors), ratios[0]
+        factors, ratios[0] = chain([(a + at0, b + at0)], factors), (c - k * at0, e + (k + 1) * at0)
+    return factors, iter(ratios)
 
 
-def _exact_row(parity: str, n: int, k: int) -> list[Fraction]:
+def _exact_row(d: int, n: int, k: int) -> list[Fraction]:
     """w_0..w_k from ``_row_terms``, each one Fraction of integer products."""
     _check_nk(n, k)
-    factors, ratios = _row_terms(parity, n, k)
+    factors, ratios = _row_terms(d, n, k)
     nums, dens = zip(*factors)
     ws = [Fraction(math.prod(nums), math.prod(dens))]
     for a, b in ratios:
@@ -97,28 +113,23 @@ def _exact_row(parity: str, n: int, k: int) -> list[Fraction]:
 
 
 def odd_weights(n: int, k: int) -> WalkWeights:
-    """Exact weights taking dimension-1 coefficients to dimension 2k+1.
-
-    Entry i is
+    """Exact weights taking dimension-1 coefficients to dimension 2k+1, the
+    d = 1 row of ``_row_terms``. Entry i is
 
         (-1)^i / 2^k * C(k,i) * (n+k)(n+2i) / (2k-1)!!
                      * (n+1)_(2k-1) / (n+i)_(k+1)
 
-    except for the piecewise value 1 at (i, n) = (0, 0), which is a
-    definition rather than a limit of the product.
+    except at (i, n) = (0, 0), where this product is 1/2 and the entry is
+    1, the lambda -> 0 limit of the connection formula.
     """
-    ws = _exact_row(ODD, n, k)
-    if n == 0:
-        ws[0] = Fraction(1)
-    return WalkWeights(n=n, k=k, parity=ODD, weights=tuple(ws))
+    return WalkWeights(n=n, k=k, parity=ODD, weights=tuple(_exact_row(1, n, k)))
 
 
 def even_weights(n: int, k: int) -> WalkWeights:
-    """Exact weights taking dimension-2 coefficients to dimension 2k+2.
-
-    Entry i is
+    """Exact weights taking dimension-2 coefficients to dimension 2k+2, the
+    d = 2 row of ``_row_terms``. Entry i is
 
         (-1)^i * (2k-1)!!/2^k * C(k,i) * C(2k+n,n)
                / [ (n+i+1/2)_(k-i) * (n+k+3/2)_(i) ]
     """
-    return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(_exact_row(EVEN, n, k)))
+    return WalkWeights(n=n, k=k, parity=EVEN, weights=tuple(_exact_row(2, n, k)))

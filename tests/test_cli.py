@@ -182,10 +182,12 @@ def test_walk_recursive_supports_higher_dimensions(capsys, tmp_path):
     )
     assert code == 0
     assert read_sequence(dst).dimension == 5
-    # the closed form only starts at dimension 1 or 2
+    # the closed form starts at any dimension and writes the same walk
+    stepped = read_sequence(dst)
     assert run(
         capsys, "walk", "--input", str(src), "--k", "1", "--output", str(dst)
-    )[0] == 2
+    )[0] == 0
+    assert read_sequence(dst) == stepped
 
 
 @pytest.mark.parametrize("method", ["closed", "recursive", "both"])

@@ -92,8 +92,7 @@ def test_dimension_and_truncation_bookkeeping():
 
 def test_closed_form_argument_errors():
     seq = CoeffSeq.exact(3, [1, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        walk_closed_form(seq, 1)  # unsupported starting dimension
+    assert walk_closed_form(seq, 1) == step_up(seq)  # any starting dimension walks
     short = CoeffSeq.exact(1, [1, 0, 0])
     with pytest.raises(ValueError):
         walk_closed_form(short, 2)  # n_max < 2k
@@ -124,8 +123,7 @@ def test_walk_recursive_argument_errors():
         walk_closed_form(short, 2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         walk_closed_form(short, 0)
-    with pytest.raises(ValueError, match="use the recursion"):
-        walk_closed_form(seq, 1)
+    assert walk_closed_form(seq, 2) == walk_recursive(seq, 2)
 
 
 @pytest.mark.parametrize("base,rows", [(1, odd_weights), (2, even_weights)])
@@ -203,13 +201,13 @@ def test_float_recursion_rejects_an_overflow_a_later_step_drops():
 def test_exact_closed_form_equals_recursion_at_large_k(k):
     # a rational input padded with 2k zeros, past the property tests' k <= 6
     rnd = random.Random(k)
-    for d in (1, 2):
+    for d in (1, 2, 5):
         values = random_exact_signed(rnd, 2 * k + 10).values + (Q(0),) * (2 * k)
         seq = CoeffSeq.exact(d, values)
         assert walk_closed_form(seq, k).values == walk_recursive(seq, k).values, d
 
 
-def test_closed_form_builds_no_rows_but_the_odd_head(monkeypatch):
+def test_closed_form_builds_no_rows(monkeypatch):
     calls = []
 
     def counted(rows):
@@ -228,11 +226,9 @@ def test_closed_form_builds_no_rows_but_the_odd_head(monkeypatch):
         (16, example_fourier_seq(2000), hs_model_seq(HSModelSpec(epsilon=1.0), 2000)),
         (5, random_exact_signed(rnd, 40), random_exact_signed(rnd, 40, dimension=2)),
     ):
-        calls.clear()
         walk_closed_form(odd, k)
-        assert calls == [("odd_weights", 0, k)]
         walk_closed_form(even, k)
-        assert len(calls) == 1
+    assert calls == []
 
 
 def test_float_closed_form_at_k50_within_half_the_rounding_bound():
