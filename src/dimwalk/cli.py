@@ -63,17 +63,16 @@ def cmd_coeffs(args) -> int:
 
 def cmd_walk(args) -> int:
     seq = seqio.read_sequence(args.input)
-    closed = stepped = None
-    if args.method in ("closed", "both"):
-        closed = walk.walk_closed_form(seq, args.k)
-    if args.method in ("recursive", "both"):
-        stepped = walk.walk_recursive(seq, args.k)
+    if args.method == "recursive":
+        seqio.write_sequence(args.output, walk.walk_recursive(seq, args.k))
+        return EXIT_OK
+    closed = walk.walk_closed_form(seq, args.k)
     if args.method == "both":
-        gap = max(abs(a - b) for a, b in zip(closed.values, stepped.values))
+        gap, agree = walk._gap_to_recursion(seq, args.k, closed)
         print(f"max discrepancy: {float(gap)!r}")
-        if not walk._walks_agree(seq, args.k, closed.values, stepped.values):
+        if not agree:
             return _fail("closed-form and recursive walks disagree", EXIT_WALK_VERIFY)
-    seqio.write_sequence(args.output, closed if closed is not None else stepped)
+    seqio.write_sequence(args.output, closed)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .exactnum import _to_float
-from .walk import CoeffSeq
+from .walk import EXACT, CoeffSeq
 
 __all__ = [
     "ResolutionError",
@@ -38,7 +38,7 @@ __all__ = [
     "symmetric_eigenvalues",
 ]
 
-NONNEG_TOL = 1e-12       # entries below -NONNEG_TOL count as violations
+NONNEG_TOL = 1e-12       # float entries below -NONNEG_TOL count as violations
 GRAM_EIGEN_TOL = 1e-9    # pass iff min eigenvalue >= -GRAM_EIGEN_TOL * point_count
 
 
@@ -256,9 +256,16 @@ class MembershipReport:
 
 
 def check_membership(seq: CoeffSeq) -> MembershipReport:
-    """Report nonnegativity violations, |sum - 1|, and parity counts."""
-    vals = seq.to_floats().values
-    violations = tuple(n for n, v in enumerate(vals) if v < -NONNEG_TOL)
+    """Report nonnegativity violations, |sum - 1|, and parity counts.
+
+    Exact sequences are judged on their Fractions: every negative entry is a
+    violation and every positive one counts, however small. Float sequences
+    allow entries down to -NONNEG_TOL. Either kind raises ValueError for a
+    value past the float range.
+    """
+    floats = seq.to_floats().values
+    vals, tol = (seq.values, 0) if seq.kind == EXACT else (floats, NONNEG_TOL)
+    violations = tuple(n for n, v in enumerate(vals) if v < -tol)
     defect = _to_float(abs(seq.total() - 1), "the normalization defect")
     positive_even = sum(1 for n, v in enumerate(vals) if n % 2 == 0 and v > 0)
     positive_odd = sum(1 for n, v in enumerate(vals) if n % 2 == 1 and v > 0)

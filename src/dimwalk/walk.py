@@ -9,10 +9,12 @@ Two routes compute the same walk: the two-step recursion
 (``walk_recursive``, k steps in one kernel call; ``step_up`` is one step)
 and the closed form (``walk_closed_form``), Horner's rule over the term
 ratios of the weight rows (``weights._row_terms``), compensated for floats.
-``verify_walk_equivalence`` runs both. Exact walks build one reduced
-Fraction per entry. Float walks are numpy array chains over the whole index
-range: a step, or a Horner level, is one vector expression. All
-transformations are pure.
+``verify_walk_equivalence`` runs both. Exact walks run on object arrays of
+integer numerators and denominators from input to output, with the step and
+row terms in int64 where they fit, and build one reduced Fraction per output
+entry; exact verification compares the pairs by cross products and builds
+none. Float walks are numpy array chains over the whole index range: a step,
+or a Horner level, is one vector expression. All transformations are pure.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ class CoeffSeq:
         if len(self.values) == 0:
             raise ValueError("sequence must contain at least one value")
         if self.kind == EXACT:
-            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
+            vals = tuple(self.values)
+            if {*map(type, vals)} != {Fraction}:  # convert all but plain Fractions
+                vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
         else:
             vals = _float_tuple(self.values, "value n =")
             if not all(map(math.isfinite, vals)):
@@ -109,19 +113,38 @@ def _step_terms(n: np.ndarray, d: int):
     return (n + d - 1) * (n + d), d * (2 * n + d - 1), (n + 1) * (n + 2), d * (2 * n + d + 3)
 
 
-def _exact_steps(values: tuple, d: int, k: int) -> tuple:
+def _indices(count: int, d: int, k: int) -> np.ndarray:
+    """The indices 0..count-1 of an exact walk by k from dimension d: int64
+    while every step and row term fits, else Python ints. Each term is at
+    most k M^3 <= M^4 in magnitude, M = 2 (count + d + 2k), so the guard is
+    M^4 < 2^62, that is count + d + 2k <= 23,170. Past the terms, the
+    kernels multiply int64 arrays only into object arrays."""
+    fits = (2 * (count + d + 2 * k)) ** 4 < 2**62
+    return np.arange(count, dtype=np.int64 if fits else object)
+
+
+def _pairs(values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of Fractions as two object arrays of ints."""
+    num, den = zip(*map(Fraction.as_integer_ratio, values))
+    return np.array(num, dtype=object), np.array(den, dtype=object)
+
+
+def _step_pairs(num: np.ndarray, den: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
     """k exact steps from dimension d over object arrays of integer numerators
-    and denominators, reduced by their gcd between steps; one Fraction per
-    entry after the last step, which Fraction reduces itself."""
-    num, den = np.array([v.as_integer_ratio() for v in values], dtype=object).T
+    and denominators, reduced by their gcd between steps: the last step's
+    unreduced (num, den), every den positive. As s_n = q_(n+2), the step's
+    p s x_num y_den - r q y_num x_den over q s x_den y_den is
+    p x_num Q_(n+2) - r y_num Q_n over Q_n Q_(n+2) with Q = q den. The step
+    terms are int64 where they fit (``_indices``)."""
+    n = _indices(len(num), d, k)
     for step in range(k):
         if step:
             g = np.gcd(num, den)
             num, den = num // g, den // g
-        p, q, r, s = _step_terms(np.arange(len(num) - 2, dtype=object), d + 2 * step)
-        xn, xd, yn, yd = num[:-2], den[:-2], num[2:], den[2:]
-        num, den = p * s * xn * yd - r * q * yn * xd, q * s * xd * yd
-    return tuple(map(Fraction, num, den))
+        p, q, r, _ = _step_terms(n[: len(num)], d + 2 * step)
+        qd = q * den
+        num, den = p[:-2] * num[:-2] * qd[2:] - r[:-2] * num[2:] * qd[:-2], qd[:-2] * qd[2:]
+    return num, den
 
 
 def _float_steps(v: np.ndarray, d: int, k: int) -> tuple[np.ndarray, bool]:
@@ -149,7 +172,7 @@ def _steps(seq: CoeffSeq, k: int) -> CoeffSeq:
     """k steps of the recursion in one kernel call; output n_max = n_max - 2k."""
     d = seq.dimension
     if seq.kind == EXACT:
-        out = _exact_steps(seq.values, d, k)
+        out = tuple(map(Fraction, *_step_pairs(*_pairs(seq.values), d, k)))
     else:
         v, finite = _float_steps(np.array(seq.values), d, k)
         if not finite:  # an overflow the later steps dropped
@@ -185,7 +208,13 @@ def _check_walk(seq: CoeffSeq, k: int) -> None:
 
 def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
     """Walk a sequence of any dimension up by 2k: the k steps of ``step_up``
-    in one kernel call; output n_max = n_max - 2k."""
+    in one kernel call; output n_max = n_max - 2k.
+
+    Exact sequences go through ``_step_pairs``: integer numerator and
+    denominator arrays, reduced by their gcd between steps, with the step
+    terms in int64 where they fit, and one Fraction per output entry built
+    from the last step's pairs.
+    """
     _check_walk(seq, k)
     return _steps(seq, k)
 
@@ -231,49 +260,89 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     second array that is added once at the end. Where that correction is
     not finite (the splits overflow from about 2^997), the entry keeps the
     plain Horner value w_0 * acc, whose high parts the scheme shares.
+
+    Exact sequences go through ``_closed_pairs``: Horner's rule over
+    unreduced integer (numerator, denominator) pairs, with the row terms in
+    int64 where they fit, and one Fraction per output entry, which reduces
+    each pair once.
     """
     _check_walk(seq, k)
+    if seq.kind == EXACT:
+        out = tuple(map(Fraction, *_closed_pairs(*_pairs(seq.values), seq.dimension, k)))
+        return CoeffSeq(seq.dimension + 2 * k, out, EXACT)
     count = seq.n_max - 2 * k + 1
-    exact = seq.kind == EXACT
-    n = np.arange(count, dtype=object if exact else float)
-    factors, ratios = _row_terms(seq.dimension, n, k)
-    levels = reversed(list(enumerate(ratios)))
-    if exact:
-        # each entry one unreduced integer fraction p/q, reduced once
-        num, den = np.array([v.as_integer_ratio() for v in seq.values], dtype=object).T
-        p, q = num[2 * k :], den[2 * k :]
-        for i, (a, c) in levels:
-            x, y = num[2 * i : 2 * i + count], den[2 * i : 2 * i + count]
-            p, q = x * c * q + a * p * y, y * c * q
-        nums, dens = zip(*factors)
-        out = list(map(Fraction, p * math.prod(nums), q * math.prod(dens)))
-    else:
-        b = np.array(seq.values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc, err = b[2 * k :], 0.0
-            for i, (a, c) in levels:
-                r, rho = _quotient(a, c)
-                p, pi = _two_product(r, acc)
-                s, sigma = _two_sum(b[2 * i : 2 * i + count], p)
-                acc, err = s, sigma + pi + r * err + rho * acc
-            w0, w0_err = 1.0, 0.0
-            for num, den in factors:
-                q, rho = _quotient(num, den)
-                p, e = _two_product(w0, q)
-                w0, w0_err = p, e + w0 * rho + w0_err * q
-            p, e = _two_product(w0, acc)
-            corr = e + w0 * err + w0_err * acc
-            out = np.where(np.isfinite(corr), p + corr, p).tolist()
-    return CoeffSeq(seq.dimension + 2 * k, tuple(out), seq.kind)
+    factors, ratios = _row_terms(seq.dimension, np.arange(count, dtype=float), k)
+    b = np.array(seq.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc, err = b[2 * k :], 0.0
+        for i, (a, c) in reversed(list(enumerate(ratios))):
+            r, rho = _quotient(a, c)
+            p, pi = _two_product(r, acc)
+            s, sigma = _two_sum(b[2 * i : 2 * i + count], p)
+            acc, err = s, sigma + pi + r * err + rho * acc
+        w0, w0_err = 1.0, 0.0
+        for num, den in factors:
+            q, rho = _quotient(num, den)
+            p, e = _two_product(w0, q)
+            w0, w0_err = p, e + w0 * rho + w0_err * q
+        p, e = _two_product(w0, acc)
+        corr = e + w0 * err + w0_err * acc
+        out = np.where(np.isfinite(corr), p + corr, p).tolist()
+    return CoeffSeq(seq.dimension + 2 * k, tuple(out), FLOAT)
+
+
+def _closed_pairs(num: np.ndarray, den: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
+    """The exact closed-form walk from dimension d of the entries num/den, by
+    Horner's rule over unreduced integer pairs: each output entry one
+    (num, den), every den positive. The row terms are int64 where they fit
+    (``_indices``)."""
+    count = len(num) - 2 * k
+    factors, ratios = _row_terms(d, _indices(count, d, k), k)
+    p, q = num[2 * k :], den[2 * k :]
+    for i, (a, c) in reversed(list(enumerate(ratios))):
+        x, y = num[2 * i : 2 * i + count], den[2 * i : 2 * i + count]
+        p, q = x * c * q + a * p * y, y * c * q
+    nums, dens = zip(*factors)  # from p and q on, so no two int64 factors meet
+    return math.prod(nums, start=p), math.prod(dens, start=q)
 
 
 def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
     """True iff k repeated steps and the closed-form walk agree entrywise.
 
-    Exact sequences must match exactly; float sequences within relative
-    1e-12 or the two routes' rounding bounds, whichever is larger.
+    Exact sequences must match exactly: ``_exact_gap`` compares the two pair
+    kernels' outputs by cross products and builds no Fraction where they
+    agree. Float sequences must match within relative 1e-12 or the two
+    routes' rounding bounds, whichever is larger (``_walks_agree``).
     """
+    if seq.kind == EXACT:
+        _check_walk(seq, k)
+        pairs = _pairs(seq.values)
+        closed = _closed_pairs(*pairs, seq.dimension, k)
+        return _exact_gap(closed, _step_pairs(*pairs, seq.dimension, k)) == 0
     return _walks_agree(seq, k, walk_closed_form(seq, k).values, walk_recursive(seq, k).values)
+
+
+def _gap_to_recursion(seq: CoeffSeq, k: int, closed: CoeffSeq) -> tuple[Fraction | float, bool]:
+    """The largest entrywise |closed - recursive| of a closed-form walk of seq
+    by k, and whether it agrees with the recursion by the gate of
+    ``verify_walk_equivalence``."""
+    if seq.kind == EXACT:
+        gap = _exact_gap(_pairs(closed.values), _step_pairs(*_pairs(seq.values), seq.dimension, k))
+        return gap, gap == 0
+    stepped = walk_recursive(seq, k).values
+    gap = max(abs(a - b) for a, b in zip(closed.values, stepped))
+    return gap, _walks_agree(seq, k, closed.values, stepped)
+
+
+def _exact_gap(closed: tuple, stepped: tuple) -> Fraction:
+    """The largest |p/q - r/s| over the entries of two exact walks given as
+    integer pairs (p, q) and (r, s), 0 iff they agree. Every denominator is
+    positive, so the cross products p s - r q decide that exactly, and a
+    Fraction is built only for an entry where they differ."""
+    (p, q), (r, s) = closed, stepped
+    diff = p * s - r * q
+    gaps = (abs(Fraction(diff[i], q[i] * s[i])) for i in np.flatnonzero(diff))
+    return max(gaps, default=Fraction(0))
 
 
 def _rounding_bound(seq: CoeffSeq, k: int) -> np.ndarray:
@@ -292,10 +361,8 @@ def _rounding_bound(seq: CoeffSeq, k: int) -> np.ndarray:
 
 
 def _walks_agree(seq: CoeffSeq, k: int, closed: tuple, stepped: tuple) -> bool:
-    """Exact walks must be equal. Float entries a, b pass iff
+    """Float entries a, b of the two walks pass iff
     math.isclose(a, b, rel_tol=REL_TOL, abs_tol=bound), applied over arrays."""
-    if seq.kind == EXACT:
-        return closed == stepped
     a, b = np.array(closed, dtype=float), np.array(stepped, dtype=float)
     tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), _rounding_bound(seq, k))
     with np.errstate(over="ignore", invalid="ignore"):

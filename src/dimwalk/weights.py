@@ -67,8 +67,8 @@ def _check_nk(n: int, k: int) -> None:
 def _row_terms(d: int, n, k: int):
     """Iterators over the k factors (num, den) of w_0 and the k term ratios
     (num, den) of w_(j+1)/w_j of the row from dimension d, for an int n or
-    an array n of floats or (object dtype) ints. Both are single-pass, so
-    the terms live only while the caller holds them. With lambda = (d-1)/2
+    an array n of floats, int64 or (object dtype) ints. Both are single-pass,
+    so the terms live only while the caller holds them. With lambda = (d-1)/2
     the Gegenbauer connection formula gives, in the normalized basis,
 
         w_0 = (lambda)_k (n+2 lambda)_(2k) / ((n+lambda)_k (2 lambda)_(2k))
@@ -83,7 +83,9 @@ def _row_terms(d: int, n, k: int):
     Every num and den is an integer, exact in doubles below 2^53: for n up
     to about 9.4e6 at d <= 3 (k <= 50), but from d = 4, where the ratio is
     cubic in n, only up to 44,700 (k = 50) to 165,000 (k = 1); at d = 5,
-    k = 4 the largest numerator passes 2^53 near n = 104,000.
+    k = 4 the largest numerator passes 2^53 near n = 104,000. The exact
+    closed form passes int64 indices only while every term is below 2^62
+    (``walk._indices``: n + d + 2k up to 23,170).
     """
     top, bottom = {1, 2} - {d - 1, d}, {d - 1, d} - {1, 2}
     h = 2 * n + d - 1

@@ -33,3 +33,24 @@ def with_shifted_entry(walk_fn, n: int):
         return CoeffSeq(out.dimension, tuple(vals), out.kind)
 
     return shifted
+
+
+def signed_with_zeros(rnd: random.Random, size: int) -> list[Fraction]:
+    """size signed small rationals with zero entries inside and 4 trailing zeros."""
+    values = list(random_exact_signed(rnd, size - 5).values) + [Fraction(0)] * 4
+    values[1] = values[size // 2] = Fraction(0)
+    return values
+
+
+def with_nudged_pair(closed_pairs):
+    """closed_pairs with its largest entry p/q moved by 1/(10^40 q): an
+    injected disagreement that no float or tolerance comparison can see."""
+
+    def nudged(num, den, d, k):
+        p, q = closed_pairs(num, den, d, k)
+        i = max(range(len(p)), key=lambda j: abs(Fraction(p[j], q[j])))
+        p, q = p.copy(), q.copy()
+        p[i], q[i] = p[i] * 10**40 + 1, q[i] * 10**40
+        return p, q
+
+    return nudged

@@ -1,5 +1,7 @@
 """Independent oracles the tests check the library against.
 
+- exact_walk: the two-step coefficient recursion on plain Fractions, entry
+  by entry.
 - recursion_weight_tables: iterate the two-step coefficient recursion
   symbolically (base coefficients as formal symbols) and read off the weight
   rows, without touching the closed-form code paths.
@@ -23,20 +25,30 @@ import numpy as np
 from scipy.special import eval_gegenbauer
 
 
+def _step_coefficients(n: int, d: int) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) of the d -> d+2 step b'_n = alpha b_n - beta b_(n+2)."""
+    if d == 1:
+        return (Fraction(1), Fraction(1, 2)) if n == 0 else (Fraction(n + 1, 2),) * 2
+    return (Fraction((n + d - 1) * (n + d), d * (2 * n + d - 1)),
+            Fraction((n + 1) * (n + 2), d * (2 * n + d + 3)))
+
+
+def exact_walk(values, d: int, k: int) -> list[Fraction]:
+    """k steps of the two-step recursion from dimension d, one plain Fraction
+    expression per entry."""
+    v = [Fraction(x) for x in values]
+    for step in range(k):
+        coeffs = [_step_coefficients(n, d + 2 * step) for n in range(len(v) - 2)]
+        v = [alpha * v[n] - beta * v[n + 2] for n, (alpha, beta) in enumerate(coeffs)]
+    return v
+
+
 def _step_combos(rows: dict[int, dict[int, Fraction]], d: int, width: int):
     """One symbolic d -> d+2 step: rows[n] maps base index -> coefficient."""
     new_rows: dict[int, dict[int, Fraction]] = {}
     for n in range(width - 2):
-        if d == 1:
-            if n == 0:
-                parts = {0: Fraction(1), 2: Fraction(-1, 2)}
-            else:
-                c = Fraction(n + 1, 2)
-                parts = {n: c, n + 2: -c}
-        else:
-            alpha = Fraction((n + d - 1) * (n + d), d * (2 * n + d - 1))
-            beta = Fraction((n + 1) * (n + 2), d * (2 * n + d + 3))
-            parts = {n: alpha, n + 2: -beta}
+        alpha, beta = _step_coefficients(n, d)
+        parts = {n: alpha, n + 2: -beta}
         combo: dict[int, Fraction] = {}
         for src, w in parts.items():
             for sym, coeff in rows[src].items():

@@ -6,6 +6,7 @@ Exit codes under test: 0 success, 2 usage/parse, 3 walk verification failure,
 
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -21,7 +22,7 @@ from dimwalk.models import example_closed_form
 from dimwalk.seqio import read_sequence, write_sequence
 from dimwalk.walk import CoeffSeq
 
-from helpers import with_shifted_entry
+from helpers import signed_with_zeros, with_nudged_pair, with_shifted_entry
 
 
 def run(capsys, *argv):
@@ -144,6 +145,19 @@ def test_walk_verification_failure_exits_3(capsys, tmp_path, monkeypatch):
         assert "max discrepancy" in out
         assert "disagree" in err
         assert not dst.exists()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_walk_exact_disagreement_of_1e_minus_40_exits_3(capsys, tmp_path, monkeypatch, d):
+    monkeypatch.setattr(walk, "_closed_pairs", with_nudged_pair(walk._closed_pairs))
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    write_sequence(src, CoeffSeq.exact(d, signed_with_zeros(random.Random(d), 30)))
+    code, out, err = run(
+        capsys, "walk", "--input", str(src), "--k", "4", "--method", "both", "--output", str(dst)
+    )
+    assert code == 3
+    assert "disagree" in err
+    assert not dst.exists()
 
 
 @pytest.mark.parametrize("model", [["example31"], ["hs", "--epsilon", "1"]])
@@ -439,6 +453,19 @@ def test_verify_flags_negative_entry(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(src))
     assert code == 5
     assert "FAIL" in out and "n = 2" in out
+
+
+def test_verify_judges_exact_files_exactly(capsys, tmp_path):
+    # -1e-13 lies inside NONNEG_TOL as a float, and 1e-400 underflows to 0.0
+    src = tmp_path / "tiny.json"
+    src.write_text(json.dumps({"dimension": 2, "n_max": 3, "kind": "exact",
+                               "values": ["1", "-1/10000000000000", "1/10000000000000",
+                                          "1/10" + "0" * 400]}))
+    code, out, _ = run(capsys, "verify", "--input", str(src))
+    assert code == 5
+    assert "nonnegativity: FAIL" in out
+    assert "  negative entries: 1 at n = 1\n" in out
+    assert "positive entries: even 2, odd 1" in out
 
 
 def test_verify_bounds_the_violation_list(capsys, tmp_path):

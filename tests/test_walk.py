@@ -22,7 +22,13 @@ from dimwalk.walk import (
 )
 from dimwalk.weights import even_weights, odd_weights
 
-from helpers import random_exact_normalized, random_exact_signed
+from helpers import (
+    random_exact_normalized,
+    random_exact_signed,
+    signed_with_zeros,
+    with_nudged_pair,
+)
+from oracles import exact_walk
 
 
 def test_step_up_frozen_example():
@@ -205,6 +211,46 @@ def test_exact_closed_form_equals_recursion_at_large_k(k):
         values = random_exact_signed(rnd, 2 * k + 10).values + (Q(0),) * (2 * k)
         seq = CoeffSeq.exact(d, values)
         assert walk_closed_form(seq, k).values == walk_recursive(seq, k).values, d
+
+
+@pytest.mark.parametrize("d", (1, 2, 5))
+def test_exact_verification_sees_a_shift_of_1e_minus_40(monkeypatch, d):
+    seq = CoeffSeq.exact(d, signed_with_zeros(random.Random(d), 30))
+    assert verify_walk_equivalence(seq, 4)
+    monkeypatch.setattr(walk_module, "_closed_pairs", with_nudged_pair(walk_module._closed_pairs))
+    for k in (1, 4):
+        assert verify_walk_equivalence(seq, k) is False, k
+        closed, stepped = walk_closed_form(seq, k).values, walk_recursive(seq, k).values
+        assert closed != stepped
+        assert [float(x) for x in closed] == [float(x) for x in stepped]
+
+
+@pytest.mark.parametrize("d", (1, 2, 7))
+@pytest.mark.parametrize("k", (1, 2, 16))
+def test_exact_walks_equal_plain_fractions(d, k):
+    values = signed_with_zeros(random.Random(d * k), 2 * k + 30)
+    seq, want = CoeffSeq.exact(d, values), tuple(exact_walk(values, d, k))
+    assert walk_recursive(seq, k).values == want
+    assert walk_closed_form(seq, k).values == want
+    assert verify_walk_equivalence(seq, k)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_exact_walks_across_the_int64_guard(k):
+    # walk._indices gives int64 while count + d + 2k <= 23,170: the recursion
+    # counts every input entry, the closed form its len - 2k outputs. Past
+    # the guard, at d = 2^21, the closed form's row terms pass 2^63.
+    values = signed_with_zeros(random.Random(k), 300)
+    edge = 23_170 - len(values) - 2 * k
+    assert walk_module._indices(len(values), edge, k).dtype == np.int64
+    assert walk_module._indices(len(values), edge + 1, k).dtype == object
+    assert walk_module._indices(len(values) - 2 * k, edge + 2 * k, k).dtype == np.int64
+    assert walk_module._indices(len(values) - 2 * k, edge + 2 * k + 1, k).dtype == object
+    for d in (edge, edge + 1, edge + 2 * k, edge + 2 * k + 1, 2**21):
+        seq, want = CoeffSeq.exact(d, values), tuple(exact_walk(values, d, k))
+        assert walk_recursive(seq, k).values == want, d
+        assert walk_closed_form(seq, k).values == want, d
+        assert verify_walk_equivalence(seq, k), d
 
 
 def test_closed_form_builds_no_rows(monkeypatch):
