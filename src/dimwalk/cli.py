@@ -165,6 +165,10 @@ def _index_runs(indices) -> str:
 def cmd_verify(args) -> int:
     seq = seqio.read_sequence(args.input)
     report = series.check_membership(seq)
+    if args.gram:  # before the first print: an error leaves stdout empty
+        dimension = args.dimension if args.dimension is not None else seq.dimension
+        model = series.model_from_seq(seq)
+        gram = series.gram_psd_check(model, dimension, args.points, args.seed)
     print(f"nonnegativity: {'pass' if report.nonneg_ok else 'FAIL'}")
     if report.violations:
         print(f"  negative entries: {len(report.violations)} at n = "
@@ -175,10 +179,6 @@ def cmd_verify(args) -> int:
         print(f"strict evidence: {'pass' if report.strict_evidence_ok else 'FAIL'}")
     failed = not report.nonneg_ok or (args.strict and not report.strict_evidence_ok)
     if args.gram:
-        dimension = args.dimension if args.dimension is not None else seq.dimension
-        gram = series.gram_psd_check(
-            series.model_from_seq(seq), dimension, args.points, args.seed
-        )
         print(
             f"gram: sphere dimension {dimension}, points {gram.point_count}, "
             f"seed {gram.seed}, rng {gram.generator}, "

@@ -1,6 +1,6 @@
 """Exact-number helpers: ``_to_float`` and ``_float_tuple``, the
-range-checked conversions of exact values to floats, and the Pochhammer
-symbol (rising factorial) that the weight-row formulas are written in.
+range-checked conversions of exact values to floats, and ``pochhammer``, the
+rising factorial, which no package code calls (the benchmark traces it).
 
 Everything here is a pure function on immutable values, so all operations are
 safe under arbitrary concurrent use.

@@ -50,9 +50,9 @@ class ResolutionError(ValueError):
 class SphericalModel:
     """An evaluable correlation function on [0, pi].
 
-    ``evaluator`` maps a float angle to a float and an ndarray of angles to an
-    array of the same shape. Extraction and the Gram check call it once with
-    all their angles; a result of another shape raises ValueError.
+    ``evaluator`` maps an ndarray of angles to an array of the same shape.
+    Extraction and the Gram check (its first angle 0) call it once with all
+    their angles; a result of another shape raises ValueError.
     """
 
     name: str
@@ -302,9 +302,10 @@ def gram_psd_check(
     (point_count, dimension + 1))`` (PCG64) over their norms, never redrawn: a
     PSD kernel gives a PSD matrix on any point set. The kernel matrix
     psi(arccos <x_i, x_j>), inner products clamped to [-1, 1] before the
-    arccos, has its minimum eigenvalue from LAPACK ``eigvalsh``. The
-    upper triangle comes from one evaluation of psi, the diagonal is psi(0).
-    Passing means min eigenvalue >= -1e-9 * point_count. A failure report carries the
+    arccos, has its minimum eigenvalue from LAPACK ``eigvalsh``, which reads
+    only its lower triangle and diagonal. One evaluator call gives psi at 0
+    (the diagonal) and at the upper-triangle angles in row order. Passing
+    means min eigenvalue >= -1e-9 * point_count. A failure report carries the
     seed so the witness configuration can be replayed.
     """
     if dimension < 1:
@@ -313,13 +314,18 @@ def gram_psd_check(
         raise ValueError("point_count must be >= 2")
     pts = np.random.default_rng(seed).standard_normal((point_count, dimension + 1))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    dots = np.clip(pts @ pts.T, -1.0, 1.0)
-    upper = np.triu_indices(point_count, 1)
-    g = np.empty((point_count, point_count))
-    g[upper] = _evaluate(model, np.arccos(dots[upper]))
-    g[upper[::-1]] = g[upper]
-    np.fill_diagonal(g, float(model.evaluator(0.0)))
-    min_eig = float(symmetric_eigenvalues(g)[0])
+    dots = pts @ pts.T
+    np.clip(dots, -1.0, 1.0, out=dots)
+    upper = ~np.tri(point_count, dtype=bool)  # strictly above the diagonal
+    theta = np.zeros(1 + point_count * (point_count - 1) // 2)
+    np.arccos(dots[upper], out=theta[1:])
+    del dots
+    psi = _evaluate(model, theta)
+    g = np.zeros((point_count, point_count))
+    g.T[upper] = psi[1:]  # the upper triangle of g.T is the lower one of g
+    np.fill_diagonal(g, psi[0])
+    del theta, psi, upper
+    min_eig = float(np.linalg.eigvalsh(g)[0])
     return GramReport(
         point_count=point_count,
         min_eigen_estimate=min_eig,

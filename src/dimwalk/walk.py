@@ -168,19 +168,6 @@ def _float_steps(v: np.ndarray, d: int, k: int) -> tuple[np.ndarray, bool]:
     return v, finite
 
 
-def _steps(seq: CoeffSeq, k: int) -> CoeffSeq:
-    """k steps of the recursion in one kernel call; output n_max = n_max - 2k."""
-    d = seq.dimension
-    if seq.kind == EXACT:
-        out = tuple(map(Fraction, *_step_pairs(*_pairs(seq.values), d, k)))
-    else:
-        v, finite = _float_steps(np.array(seq.values), d, k)
-        if not finite:  # an overflow the later steps dropped
-            raise ValueError("all values must be finite")
-        out = tuple(v.tolist())
-    return CoeffSeq(d + 2 * k, out, seq.kind)
-
-
 def step_up(seq: CoeffSeq) -> CoeffSeq:
     """One d -> d+2 step of the coefficient recursion; n_max drops by 2.
 
@@ -194,9 +181,7 @@ def step_up(seq: CoeffSeq) -> CoeffSeq:
         b'_n = (n+d-1)(n+d) / (d(2n+d-1)) * b_n
              - (n+1)(n+2) / (d(2n+d+3))   * b_{n+2}.
     """
-    if seq.n_max < 2:
-        raise ValueError("need n_max >= 2 to form any output entry")
-    return _steps(seq, 1)
+    return walk_recursive(seq, 1)
 
 
 def _check_walk(seq: CoeffSeq, k: int) -> None:
@@ -216,7 +201,15 @@ def walk_recursive(seq: CoeffSeq, k: int) -> CoeffSeq:
     from the last step's pairs.
     """
     _check_walk(seq, k)
-    return _steps(seq, k)
+    d = seq.dimension
+    if seq.kind == EXACT:
+        out = tuple(map(Fraction, *_step_pairs(*_pairs(seq.values), d, k)))
+    else:
+        v, finite = _float_steps(np.array(seq.values), d, k)
+        if not finite:  # an overflow the later steps dropped
+            raise ValueError("all values must be finite")
+        out = tuple(v.tolist())
+    return CoeffSeq(d + 2 * k, out, seq.kind)
 
 
 def _two_sum(a, b):

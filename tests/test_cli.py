@@ -350,6 +350,29 @@ def test_extract_samples_closes_its_file(tmp_path):
     assert "ResourceWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1.0,", "sample file is not valid JSON: "),
+    ('[1.0, 2.0]', "sample file must be an object with 'values'"),
+    ('{"grid": [1.0, 2.0]}', "sample file must be an object with 'values'"),
+    ('{"values": [1.0]}', "'values' must be a list of at least two numbers"),
+    ('{"values": [1.0, "one"]}', "bad sample value: "),
+    ('{"values": [1.0, null]}', "bad sample value: "),
+    ('{"values": [1.0, "inf"]}', "sample values must be finite"),
+    ('{"grid_size": 4, "values": [1.0, 2.0, 3.0]}',
+     "declared grid_size 4 does not match 3 values"),
+])
+def test_extract_rejects_malformed_samples(capsys, tmp_path, text, message):
+    samples = tmp_path / "s.json"
+    samples.write_text(text)
+    code, out, err = run(
+        capsys, "extract", "--samples", str(samples), "--dim", "1", "--n-max", "0",
+        "--output", str(tmp_path / "o.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("dim", ["1", "2"])
 def test_extract_overflowing_samples_print_one_error(tmp_path, dim):
     # the samples are floats, their cosine and Legendre sums are not
@@ -491,6 +514,20 @@ def test_verify_gram_flags(capsys, tmp_path):
     )
     assert code == 0
     assert "gram:" in out and "pass" in out and "seed 7" in out
+
+
+@pytest.mark.parametrize("values, flags, message", [
+    (["0", "1"], ["--points", "1"], "point_count must be >= 2"),
+    (["0", "1"], ["--dimension", "0"], "dimension must be >= 1"),
+    # the sum is 0, the series value 1e308 (1 - cos theta) is past the float range near pi
+    (["1e308", "-1e308"], [], "the series value at theta = "),
+])
+def test_verify_gram_error_prints_no_report(capsys, tmp_path, values, flags, message):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps({"dimension": 1, "n_max": 1, "kind": "float", "values": values}))
+    code, out, err = run(capsys, "verify", "--input", str(src), "--gram", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 def test_verify_strict_mode(capsys, tmp_path):

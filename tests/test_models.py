@@ -16,6 +16,7 @@ from dimwalk.models import (
     example_fourier_seq,
     example_psi,
     example_walked_closed_form_seq,
+    example_walked_seq,
     get_model,
     hs_model_seq,
 )
@@ -106,6 +107,17 @@ def test_walked_closed_form_seq():
     for n in range(1, 41):
         assert seq.values[n] == example_closed_form(n, 2)
     assert check_membership(seq).nonneg_ok
+
+
+def test_sequence_builders_reject_bad_arguments():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        example_walked_closed_form_seq(0, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        example_walked_closed_form_seq(5, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        example_walked_seq(-1, 2)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        hs_model_seq(HSModelSpec(epsilon=1.0), -1)
 
 
 # -- dimension-2 power-decay family -------------------------------------------

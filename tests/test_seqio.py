@@ -54,6 +54,7 @@ def test_json_schema_fields():
         '{"dimension": 1, "n_max": 1, "values": ["1", "2"]}',
         '{"dimension": 0, "n_max": 1, "kind": "exact", "values": ["1", "2"]}',
         '{"dimension": 1, "n_max": 2, "kind": "exact", "values": ["1", "2"]}',
+        '{"dimension": 1, "n_max": -1, "kind": "exact", "values": []}',
         '{"dimension": 1, "n_max": 1, "kind": "decimal", "values": ["1", "2"]}',
         '{"dimension": 1, "n_max": 1, "kind": "exact", "values": ["1", "1/0"]}',
         '{"dimension": 1, "n_max": 1, "kind": "exact", "values": ["1", "x/y"]}',

@@ -277,6 +277,8 @@ def test_extract_fourier_rejects_small_grid():
         extract_fourier(get_model("one"), 50, 11)
     with pytest.raises(ResolutionError):
         extract_fourier(get_model("one"), 0, 1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        extract_fourier(get_model("one"), -1, 11)
 
 
 def test_extract_fourier_equals_dense_trapezoid():
@@ -312,7 +314,7 @@ def test_wrong_shape_evaluator_raises_after_one_call():
     calls.clear()
     with pytest.raises(ValueError, match="model 'const'"):
         gram_psd_check(model, 2, 5)
-    assert calls == [(10,)]
+    assert calls == [(11,)]
 
 
 def test_extract_legendre_orthogonality():
@@ -363,6 +365,8 @@ def test_extract_legendre_memory_is_linear_in_order():
 def test_extract_legendre_rejects_small_order():
     with pytest.raises(ResolutionError):
         extract_legendre(get_model("one"), 40, 20)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        extract_legendre(get_model("one"), -1, 20)
 
 
 def test_walk_and_extraction_commute():
@@ -485,6 +489,35 @@ def test_gram_uses_the_documented_points(d, m, seed):
     np.fill_diagonal(g, model.evaluator(0.0))
     expected = float(np.linalg.eigvalsh(g)[0])
     assert gram_psd_check(model, d, m, seed).min_eigen_estimate == expected
+
+
+def test_gram_calls_the_evaluator_once():
+    # psi(0) for the diagonal comes first in the one array of angles
+    calls = []
+
+    def counted(theta):
+        calls.append(np.array(theta))
+        return np.cos(theta)
+
+    m = 17
+    assert gram_psd_check(SphericalModel("counted", counted), 2, m, seed=4).psd_pass
+    assert [c.shape for c in calls] == [(m * (m - 1) // 2 + 1,)]
+    assert calls[0][0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["example31", "cosine"])
+def test_gram_memory_stays_below_four_matrices(name):
+    # the kernel matrix, its upper-triangle angles and their psi values: the
+    # traced peak stays under four m x m float matrices
+    model, m = get_model(name), 400
+    gram_psd_check(model, 2, m, seed=1)
+    tracemalloc.start()
+    try:
+        gram_psd_check(model, 2, m, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m * m * 8
 
 
 def test_gram_is_deterministic_in_the_seed():
