@@ -5,9 +5,9 @@ sequence file), extract (coefficients from a registered model or a sample
 file), eval (series values), verify (membership and Gram checks), model
 (write model coefficient files).
 
-Exit codes partition the outcomes: 0 success, 2 usage or parse errors,
-3 walk verification failure, 4 grid/order resolution insufficiency,
-5 membership or positive-definiteness failure.
+Exit codes partition the outcomes: 0 success, 2 usage or parse errors and
+allocations the host refuses, 3 walk verification failure, 4 grid/order
+resolution insufficiency, 5 membership or positive-definiteness failure.
 """
 
 from __future__ import annotations
@@ -102,13 +102,7 @@ def _load_samples(path: str) -> np.ndarray:
 
 def cmd_extract(args) -> int:
     if args.model is not None:
-        try:
-            model = models.get_model(args.model)
-        except KeyError:
-            return _fail(
-                f"unknown model {args.model!r} (registered: {', '.join(models.MODEL_NAMES)})",
-                EXIT_USAGE,
-            )
+        model = models.get_model(args.model)
     else:
         samples = _load_samples(args.samples)
         if len(samples) < 2 * args.n_max + 1:
@@ -231,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract coefficients from a model or sample file")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", help="registered model name")
+    src.add_argument("--model", choices=models.MODEL_NAMES, help="registered model name")
     src.add_argument("--samples", help="JSON file with uniform [0, pi] grid samples")
     p.add_argument("--dim", type=int, choices=[1, 2], required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -292,8 +286,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except series.ResolutionError as exc:
         return _fail(str(exc), EXIT_RESOLUTION)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a refused allocation
+        return _fail(str(exc) or type(exc).__name__, EXIT_USAGE)
 
 
 if __name__ == "__main__":

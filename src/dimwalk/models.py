@@ -9,10 +9,14 @@ Registered names:
                 1 - 3 theta/pi + 3 theta^2/(2 pi^2)
 - ``hs``        the dimension-2 family b_{0,2} = c0/2,
                 b_{n,2} = (c/n^(2+eps)) (2n+1)/2
+
+Each sequence builder takes any n_max >= 0 and computes entries 1..n_max as
+one array expression over float indices.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -34,12 +38,17 @@ __all__ = [
     "get_model",
 ]
 
+def _indices(n_max: int) -> np.ndarray:
+    """The indices 1..n_max as floats (int64 products overflow from n ~ 2e6)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return np.arange(1, n_max + 1, dtype=float)
+
+
 def example_fourier_seq(n_max: int) -> CoeffSeq:
     """Inverse-square cosine coefficients: b_0 = 0, b_n = 6/(pi^2 n^2)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    vals = [0.0] + [6.0 / (math.pi**2 * n**2) for n in range(1, n_max + 1)]
-    return CoeffSeq.floats(1, vals)
+    n = _indices(n_max)
+    return CoeffSeq.floats(1, [0.0, *(6.0 / (math.pi**2 * n**2)).tolist()])
 
 
 def example_psi(theta: float) -> float:
@@ -47,7 +56,7 @@ def example_psi(theta: float) -> float:
     return 1.0 - 3.0 * theta / math.pi + 1.5 * theta**2 / math.pi**2
 
 
-def example_closed_form(n: int, k: int) -> float:
+def example_closed_form(n, k: int):
     """Walked inverse-square coefficient at dimension 2k+1 for n, k >= 1:
 
         3 k (n+k) B(n/2, k)^2 / (n pi^2 (n+2k)^2 B(n, 2k)).
@@ -58,8 +67,11 @@ def example_closed_form(n: int, k: int) -> float:
     neither overflows nor underflows, and its relative error is O(k)
     roundings. Strictly positive for all n, k >= 1 and
     O(n^-2) for fixed k.
+
+    ``n`` is an int or a float array of indices; below n ~ 9e7 every integer
+    product is exact in either, so the two give bitwise equal values.
     """
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise ValueError("defined for n >= 1 (the closed form has n in a denominator)")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -79,12 +91,8 @@ def example_walked_closed_form_seq(n_max: int, k: int) -> CoeffSeq:
     reconstructed kernel is positive definite on the dimension-(2k+1) sphere
     by construction.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vals = [0.0] + [example_closed_form(n, k) for n in range(1, n_max + 1)]
-    return CoeffSeq.floats(2 * k + 1, vals)
+    vals = example_closed_form(_indices(n_max), k)
+    return CoeffSeq.floats(2 * k + 1, [0.0, *vals.tolist()])
 
 
 def example_walked_seq(n_max: int, k: int) -> CoeffSeq:
@@ -93,12 +101,10 @@ def example_walked_seq(n_max: int, k: int) -> CoeffSeq:
     (6/pi^2) sum_(i=1..k) w_i(0, k)/(2i)^2 with w = odd_weights(0, k), the
     sum exact and rounded once (-3/(4 pi^2) at k = 1).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    seq = example_walked_closed_form_seq(max(n_max, 1), k)  # n_max = 0 keeps n = 0 only
+    seq = example_walked_closed_form_seq(n_max, k)
     w = odd_weights(0, k).weights
     b0 = 6.0 * float(sum(w[i] / (2 * i) ** 2 for i in range(1, k + 1))) / math.pi**2
-    return CoeffSeq.floats(seq.dimension, (b0,) + seq.values[1 : n_max + 1])
+    return CoeffSeq.floats(seq.dimension, (b0,) + seq.values[1:])
 
 
 @dataclass(frozen=True)
@@ -119,23 +125,30 @@ class HSModelSpec:
 def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:
     """Dimension-2 coefficients b_0 = c0/2, b_n = (c/n^(2+eps)) (2n+1)/2.
 
-    Raises ValueError at the first n where n^(2+eps) exceeds the float range.
+    Entries too small for a float underflow gradually to 0.0. Only a c near
+    the float maximum overflows, and CoeffSeq rejects the infinite entry.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = [spec.c0 * 0.5]
-    for n in range(1, n_max + 1):
-        try:
-            vals.append(spec.c / n ** (2.0 + spec.epsilon) * (2 * n + 1) / 2.0)
-        except OverflowError:
-            raise ValueError(
-                f"epsilon = {spec.epsilon!r} is too large: n^(2+epsilon) overflows "
-                f"a float at n = {n}"
-            ) from None
-    return CoeffSeq.floats(2, vals)
+    n = _indices(n_max)
+    with np.errstate(over="ignore"):
+        vals = spec.c * n ** -(2.0 + spec.epsilon) * (2 * n + 1) / 2.0
+    return CoeffSeq.floats(2, [spec.c0 * 0.5, *vals.tolist()])
 
 
-MODEL_NAMES = ("one", "cosine", "example31", "hs")
+def _hs_model(epsilon=1.0, c0=HSModelSpec.c0, c=HSModelSpec.c, n_trunc=2000) -> SphericalModel:
+    spec = HSModelSpec(epsilon=float(epsilon), c0=float(c0), c=float(c))
+    return model_from_seq(hs_model_seq(spec, int(n_trunc)), "hs")
+
+
+# name -> factory; a factory's keyword parameters are the model's parameters
+_MODELS = {
+    # [()] turns the 0-d result for a float angle into a scalar
+    "one": lambda: SphericalModel("one", lambda t: np.ones(np.shape(t))[()]),
+    "cosine": lambda: SphericalModel("cosine", np.cos),
+    "example31": lambda: SphericalModel("example31", example_psi),
+    "hs": _hs_model,
+}
+
+MODEL_NAMES = tuple(_MODELS)
 
 
 def get_model(name: str, **params) -> SphericalModel:
@@ -144,27 +157,12 @@ def get_model(name: str, **params) -> SphericalModel:
     ``hs`` accepts epsilon/c0/c/n_trunc parameters (its evaluator sums the
     truncated Legendre series; the family's slow tail makes exact evaluation
     impossible, so n_trunc bounds the truncation error). The other models
-    take no parameters. Unknown names raise KeyError. Every evaluator takes a
-    float or an ndarray of angles.
+    take no parameters, and an unknown parameter raises ValueError. Unknown
+    names raise KeyError. Every evaluator takes a float or an ndarray of
+    angles.
     """
-    if name == "hs":
-        n_trunc = int(params.pop("n_trunc", 2000))
-        spec = HSModelSpec(
-            epsilon=float(params.pop("epsilon", 1.0)),
-            c0=float(params.pop("c0", HSModelSpec.c0)),
-            c=float(params.pop("c", HSModelSpec.c)),
-        )
-        if params:
-            raise ValueError(f"unknown hs parameters: {sorted(params)}")
-        return model_from_seq(hs_model_seq(spec, n_trunc), "hs")
-    fixed = {
-        # [()] turns the 0-d result for a float angle into a scalar
-        "one": lambda t: np.ones(np.shape(t))[()],
-        "cosine": np.cos,
-        "example31": example_psi,
-    }
-    if name not in fixed:
-        raise KeyError(name)
-    if params:
-        raise ValueError(f"model {name!r} takes no parameters")
-    return SphericalModel(name, fixed[name])
+    factory = _MODELS[name]
+    unknown = set(params) - set(inspect.signature(factory).parameters)
+    if unknown:
+        raise ValueError(f"unknown parameters of model {name!r}: {sorted(unknown)}")
+    return factory(**params)

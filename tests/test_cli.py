@@ -247,11 +247,15 @@ def test_extract_constant_model_dimension_2(capsys, tmp_path):
 
 def test_extract_unknown_model(capsys, tmp_path):
     code, _, err = run(
-        capsys, "extract", "--model", "bessel", "--dim", "1", "--n-max", "5",
+        capsys, "extract", "--model", "sinc", "--dim", "1", "--n-max", "5",
         "--output", str(tmp_path / "x.json"),
     )
     assert code == 2
-    assert "unknown model" in err
+    assert "invalid choice: 'sinc'" in err
+    assert all(name in err for name in ("one", "cosine", "example31", "hs"))
+    assert not (tmp_path / "x.json").exists()
+    code, out, _ = run(capsys, "extract", "--help")
+    assert code == 0 and "{one,cosine,example31,hs}" in out
 
 
 def test_extract_sparse_samples_exit_4(capsys, tmp_path):
@@ -626,15 +630,27 @@ def test_model_argument_errors(capsys, tmp_path):
     )[0] == 2
 
 
-def test_model_hs_overflowing_epsilon_exits_2(capsys, tmp_path):
+def test_model_hs_large_epsilon_writes_underflowed_entries(capsys, tmp_path):
     dst = tmp_path / "x.json"
     code, out, err = run(capsys, "model", "hs", "--epsilon", "400", "--n-max", "10",
                          "--output", str(dst))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: epsilon = 400.0") and err.count("\n") == 1
-    assert "n = 6" in err
-    assert not dst.exists()
+    assert (code, out, err) == (0, "", "")
+    vals = read_sequence(dst).values
+    assert 0.0 < vals[6] < sys.float_info.min and vals[7:] == (0.0,) * 4
+
+
+@pytest.mark.parametrize("flags, dimension", [
+    (["example31"], 1),
+    (["example31", "--walked-k", "1"], 3),
+    (["example31", "--walked-k", "2", "--closed-form"], 5),
+    (["hs", "--epsilon", "1"], 2),
+])
+def test_model_n_max_zero(capsys, tmp_path, flags, dimension):
+    dst = tmp_path / "x.json"
+    code, _, _ = run(capsys, "model", *flags, "--n-max", "0", "--output", str(dst))
+    assert code == 0
+    seq = read_sequence(dst)
+    assert seq.dimension == dimension and seq.n_max == 0
 
 
 def test_model_help_lists_both_models(capsys):
@@ -661,6 +677,18 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
             capsys, "model", "hs", "--epsilon", "1.5", "--n-max", "64", "--output", str(dst)
         )[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+def test_refused_allocation_exits_2(capsys, tmp_path, monkeypatch, message):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.series, "extract_fourier", refuse)
+    code, out, err = run(capsys, "extract", "--model", "one", "--dim", "1", "--n-max", "3",
+                         "--output", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message or 'MemoryError'}\n"
 
 
 def test_help_exits_zero(capsys):

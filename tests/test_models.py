@@ -4,8 +4,10 @@ form, the dimension-2 power-decay family, and the registry.
 
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,11 +46,6 @@ def test_fourier_seq_monotone_tail_and_total():
     # truncated total approaches 1 from below; tail is bracketed by integrals
     defect = 1.0 - seq.total()
     assert 6 / (math.pi**2 * 10_001) < defect < 6 / (math.pi**2 * 10_000)
-
-
-def test_fourier_seq_requires_positive_n_max():
-    with pytest.raises(ValueError):
-        example_fourier_seq(0)
 
 
 def test_psi_closed_form_matches_series():
@@ -97,6 +94,8 @@ def test_closed_form_rejects_bad_indices():
     with pytest.raises(ValueError):
         example_closed_form(0, 1)
     with pytest.raises(ValueError):
+        example_closed_form(np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError):
         example_closed_form(3, 0)
 
 
@@ -107,17 +106,43 @@ def test_walked_closed_form_seq():
     for n in range(1, 41):
         assert seq.values[n] == example_closed_form(n, 2)
     assert check_membership(seq).nonneg_ok
+    # the array form is bitwise the scalar one, up to n = 1e6
+    n = np.array([1.0, 2.0, 3.0, 4097.0, 999_999.0, 1e6])
+    for k in (1, 8, 50):
+        assert example_closed_form(n, k).tolist() == [example_closed_form(int(m), k) for m in n]
 
 
+def test_fourier_seq_requires_positive_n_max():
+    # n_max = 0 is the one-term sequence (see test_every_family_accepts_n_max_zero)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        example_fourier_seq(-1)
+
+
+@pytest.mark.filterwarnings("error")
 def test_sequence_builders_reject_bad_arguments():
-    with pytest.raises(ValueError, match="n_max must be >= 1"):
-        example_walked_closed_form_seq(0, 2)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        example_walked_closed_form_seq(-1, 2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         example_walked_closed_form_seq(5, 0)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         example_walked_seq(-1, 2)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         hs_model_seq(HSModelSpec(epsilon=1.0), -1)
+    # c * 3/2 overflows at n = 1: an error, and no numpy overflow warning
+    with pytest.raises(ValueError, match="finite"):
+        hs_model_seq(HSModelSpec(epsilon=1.0, c=1e308), 3)
+
+
+@pytest.mark.parametrize("build, dimension, b0", [
+    (example_fourier_seq, 1, 0.0),
+    (lambda n_max: example_walked_closed_form_seq(n_max, 2), 5, 0.0),
+    (lambda n_max: example_walked_seq(n_max, 1), 3, -3 / (4 * math.pi**2)),
+    (lambda n_max: hs_model_seq(HSModelSpec(epsilon=1.0, c0=3.0), n_max), 2, 1.5),
+])
+def test_every_family_accepts_n_max_zero(build, dimension, b0):
+    seq = build(0)
+    assert seq.dimension == dimension and seq.n_max == 0
+    assert seq.values[0] == pytest.approx(b0, rel=1e-15)
 
 
 # -- dimension-2 power-decay family -------------------------------------------
@@ -131,11 +156,22 @@ def test_hs_seq_frozen_values():
     assert seq.values[2] == pytest.approx(5 / 16, rel=1e-15)
 
 
-def test_hs_seq_overflowing_epsilon_names_epsilon_and_n():
-    # 5^402 fits in a float, 6^402 does not
-    with pytest.raises(ValueError, match=r"epsilon = 400\.0 .* at n = 6$"):
-        hs_model_seq(HSModelSpec(epsilon=400.0), 10)
-    assert len(hs_model_seq(HSModelSpec(epsilon=400.0), 5).values) == 6
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 1.5, 3.7, 10.0])
+def test_hs_seq_within_two_ulp(epsilon):
+    spec = HSModelSpec(epsilon=epsilon, c=0.7)
+    vals = hs_model_seq(spec, 2000).values
+    with mpmath.workdps(40):
+        for n in range(1, 2001):
+            exact = mpmath.mpf(0.7) * (2 * n + 1) / 2 / mpmath.power(n, 2 + mpmath.mpf(epsilon))
+            assert abs(vals[n] - exact) <= 2 * math.ulp(float(exact)), n
+
+
+def test_hs_seq_large_epsilon_underflows_to_zero():
+    # 6^-402 * 13/2 is subnormal, 7^-402 is below the smallest subnormal
+    vals = hs_model_seq(HSModelSpec(epsilon=400.0), 10).values
+    assert all(math.isfinite(v) for v in vals)
+    assert 0.0 < vals[6] < sys.float_info.min
+    assert vals[7:] == (0.0,) * 4
 
 
 def test_hs_spec_validation():
