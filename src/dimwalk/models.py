@@ -8,7 +8,7 @@ Registered names:
                 b_{n,1} = 6/(pi^2 n^2), whose sum collapses to the quadratic
                 1 - 3 theta/pi + 3 theta^2/(2 pi^2)
 - ``hs``        the dimension-2 family b_{0,2} = c0/2,
-                b_{n,2} = (c/n^(2+eps)) (2n+1)/2
+                b_{n,2} = c n^-(2+eps) (n + 1/2)
 
 Each sequence builder takes any n_max >= 0 and computes entries 1..n_max as
 one array expression over float indices.
@@ -123,14 +123,20 @@ class HSModelSpec:
 
 
 def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:
-    """Dimension-2 coefficients b_0 = c0/2, b_n = (c/n^(2+eps)) (2n+1)/2.
+    """Dimension-2 coefficients b_0 = c0/2, b_n = c n^-(2+eps) (n + 1/2).
 
-    Entries too small for a float underflow gradually to 0.0. Only a c near
-    the float maximum overflows, and CoeffSeq rejects the infinite entry.
+    Entries too small for a float underflow gradually to 0.0. An entry past
+    the float range (only for a c near the float maximum, and first at
+    n = 1, b_1 = 3c/2) raises ValueError naming c and n.
     """
     n = _indices(n_max)
     with np.errstate(over="ignore"):
-        vals = spec.c * n ** -(2.0 + spec.epsilon) * (2 * n + 1) / 2.0
+        vals = spec.c * n ** -(2.0 + spec.epsilon) * (n + 0.5)
+    past = np.flatnonzero(~np.isfinite(vals))
+    if past.size:
+        raise ValueError(
+            f"c = {spec.c!r} puts entry n = {past[0] + 1} of the hs family past the float range"
+        )
     return CoeffSeq.floats(2, [spec.c0 * 0.5, *vals.tolist()])
 
 

@@ -11,7 +11,6 @@ independent row by row.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -97,16 +96,126 @@ def _basis_rows(d: int, n_max: int, x: np.ndarray):
         q0, q1 = q1, a[j] * x * q1 + c[j] * q0
 
 
+def _cosine_coeffs(b: np.ndarray, d: int) -> np.ndarray:
+    """Cosine coefficients a of sum_n b_n Q_n(cos theta) = sum_m a_m cos(m theta).
+
+    DLMF 18.5.11 gives a_m = eps_m sum_(l>=0) W_l(m+2l) b_(m+2l) (eps_0 = 1,
+    else 2) with W_l(n) = alpha_l alpha_(n-l) / N_n, alpha_j = (mu)_j / j!,
+    N_n = (2 mu)_n / n! and mu = (d-1)/2. The weights of one n are positive
+    and sum to Q_n(1) = 1, so nothing cancels; at d = 1 the map is the identity.
+
+    The weights of cos(m theta) form a chain in l, one level per loop step on
+    shrinking slices, by ratios of alpha and N scaled by mu + 1 so that none
+    overflows at any d. A chain runs up from W_0(m) = (mu)_m / (2 mu)_m, so
+    the weights of low degrees, where a decaying sequence has its mass, are
+    the most accurate. Where W_0(m) is below the normal floats (large m at
+    large d), the chain grows towards the top degree N-1 or N-2 instead, so
+    it runs down from there, from a row built outwards from the central
+    weight, and its weights too small for a float underflow to 0.
+    """
+    n_terms = b.size
+    if d == 1 or n_terms == 1:
+        return b
+    mu = (d - 1) / 2
+    j = np.arange(n_terms, dtype=float)
+    f = (mu + j) / (mu + 1) / (j + 1)  # alpha_(j+1) / alpha_j / (mu + 1)
+    g = (j + 1) * ((mu + 1) / (2 * mu + j))  # (mu + 1) N_j / N_(j+1)
+    gg = g[:-1] * g[1:]
+
+    # a level step multiplies the chain of cos(m theta) by
+    # W_(l+1)(m+2l+2) / W_l(m+2l) = gg_(m+2l) f_l f_(m+l)
+    a, buf = np.zeros(n_terms), np.empty(n_terms)
+    w = np.cumprod(np.concatenate(([1.0], (mu + j[:-1]) / (2 * mu + j[:-1]))))
+    cut = int(np.count_nonzero(w >= np.finfo(float).tiny))  # W_0(m) falls with m
+    for level in range((n_terms + 1) // 2):
+        live = min(cut, n_terms - 2 * level)
+        wl, tmp = w[:live], buf[:live]
+        np.multiply(wl, b[2 * level : 2 * level + live], out=tmp)
+        a[:live] += tmp
+        live = min(cut, n_terms - 2 * level - 2)  # the chains that go on
+        if live <= 0:
+            break
+        wl, tmp = w[:live], buf[:live]
+        np.multiply(gg[2 * level : 2 * level + live], f[level], out=tmp)
+        wl *= tmp
+        wl *= f[level : level + live]
+    if cut < n_terms:
+        for top in (n_terms - 1, n_terms - 2):
+            # the row of the top degree, W_l = W_(l+1) f_(top-l-1) / f_l outwards
+            # from its central weight, where the chain of cos(m0 theta) ended
+            c, m0 = divmod(top, 2)
+            w[m0::2] = np.cumprod(np.concatenate(([w[m0]], f[top - c : top] / f[:c][::-1])))
+        for level in range((n_terms - 1 - cut) // 2, -1, -1):
+            live = n_terms - 2 * level
+            wl = w[cut:live]
+            a[cut:live] += wl * b[cut + 2 * level :]
+            if level:
+                wl /= gg[2 * level - 2 + cut : 2 * level - 2 + live] * f[level - 1]
+                wl /= f[level - 1 + cut : level - 1 + live]
+    a[1:] *= 2
+    return a
+
+
+# A chunk of angles is a whole number of 32-row blocks, so no angle falls in a
+# partial row tile of a BLAS kernel, which may round differently. Below about
+# 2,000 terms one matrix product takes at most 2^18 multiply-adds: OpenBLAS
+# runs a product that small on one thread, where waking more costs more.
+_CHUNK_BLOCK, _CHUNK_MAX, _MATMUL_MAX = 32, 256, 2**18
+
+
+def _cos_sum(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_m a_m cos(m theta) at a flat array of angles, by baby and giant steps.
+
+    With m = qB + r, B = ceil(sqrt(N)) and z = e^(i theta), the sum is
+    Re sum_q z^(qB) P_q with P_q = sum_(r<B) a_(qB+r) z^r. The steps z^r and
+    z^(qB) are cumulative products of e^(i theta) and e^(i B theta): no
+    trigonometric function per term, and accurate phases near 0 and pi. One
+    real matrix product takes the baby steps, as (re, im) pairs, to
+    (Re P_q, -Im P_q) pairs, which a row-wise dot product with the giant
+    steps sums. Every chunk of angles has one fixed size, the last one
+    padded, so no value depends on where its angle sits in the array.
+    """
+    n_terms = a.size
+    baby = math.isqrt(n_terms - 1) + 1
+    giant = -(-n_terms // baby)
+    coef = np.zeros((giant, baby))
+    coef.flat[:n_terms] = a  # coef[q, r] = a_(qB+r)
+    mat = np.zeros((baby, 2, giant, 2))
+    mat[:, 0, :, 0], mat[:, 1, :, 1] = coef.T, -coef.T
+    mat = mat.reshape(2 * baby, 2 * giant)
+    blocks = _MATMUL_MAX // (4 * baby * giant * _CHUNK_BLOCK)
+    rows = min(_CHUNK_MAX, _CHUNK_BLOCK * max(1, blocks))
+    phase = np.zeros((2, rows))  # theta and B theta; padding keeps earlier angles
+    steps = np.ones((2, rows, baby), dtype=complex)  # z^r and z^(qB) (q < B)
+    out = np.empty(theta.size)
+    for start in range(0, theta.size, rows):
+        chunk = theta[start : start + rows]
+        phase[0, : chunk.size] = chunk
+        np.multiply(phase[0], baby, out=phase[1])
+        steps[:, :, 1:] = np.exp(1j * phase)[:, :, None]
+        np.cumprod(steps, axis=2, out=steps)
+        p = steps[0].view(float) @ mat
+        psi = (steps[1, :, :giant].view(float) * p).sum(axis=1)
+        out[start : start + rows] = psi[: chunk.size]
+    return out
+
+
 def evaluate_series(seq: CoeffSeq, theta):
     """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
 
     A float theta gives a float, an ndarray an array of the same shape; every
     angle must lie in [0, pi], and theta = 0 gives the coefficient sum (exact
-    for exact sequences). d = 1 is Re(sum_n b_n z^n) by Horner's rule in
-    z = e^(i theta), accurate near the poles; d >= 2 is the Clenshaw
-    recurrence y_j = b_j + a_j x y_(j+1) + c_(j+1) y_(j+2) in x = cos(theta).
-    Both loops serve a float and an array. A value past the float range
-    raises ValueError naming its angle.
+    for exact sequences). An array of angles at any d, and every d = 1 call,
+    is the cosine series of the sequence (``_cosine_coeffs``, DLMF 18.5.11)
+    summed by baby and giant steps in e^(i theta) (``_cos_sum``). Its error is
+    O(N u sum|b_n|) at every angle, the poles included, since the cosine
+    weights are positive and no step works in cos(theta). The O(N^2)
+    conversion is paid on every call; nothing is kept between calls. A float
+    theta at d >= 2, where the conversion would cost many times the sum, is
+    the Clenshaw recurrence y_j = b_j + a_j x y_(j+1) + c_(j+1) y_(j+2) in
+    x = cos(theta), which loses about n^2 u near theta = 0 because cos(theta)
+    rounds to 1. A value past the float range raises ValueError naming its
+    angle.
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
@@ -117,23 +226,24 @@ def evaluate_series(seq: CoeffSeq, theta):
         return psi0
     b = seq.to_floats().values
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        if seq.dimension == 1:
-            z = cmath.exp(1j * theta) if scalar else np.exp(1j * np.asarray(theta, dtype=float))
-            y = 0j
-            for v in reversed(b):
-                y = y * z + v
-            y1 = y.real
-        else:
-            x = math.cos(theta) if scalar else np.cos(np.asarray(theta, dtype=float))
+        if scalar and seq.dimension > 1:
+            x = math.cos(theta)
             a, c = _recurrence(seq.dimension, len(b) - 1)
-            y1 = y2 = 0.0
-            for j in range(len(b) - 1, -1, -1):
-                y1, y2 = b[j] + a[j] * x * y1 + c[j + 1] * y2, y1
-    bad = ~(np.isfinite(y1) | at_zero)
+            y = y2 = 0.0
+            # c has one entry more than b: reversed, zip pairs b_j with c_(j+1)
+            for b_j, a_j, c_j1 in zip(reversed(b), reversed(a), reversed(c)):
+                y, y2 = b_j + a_j * x * y + c_j1 * y2, y
+        else:
+            t = np.asarray(theta, dtype=float)
+            cos_coeffs = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
+            y = _cos_sum(cos_coeffs, t.ravel()).reshape(t.shape)
+            if psi0 is not None:
+                y[at_zero] = psi0
+    bad = ~np.isfinite(y)
     if bad.any():
         t = float(np.asarray(theta, dtype=float)[bad][0])
         raise ValueError(f"the series value at theta = {t!r} lies outside the float range")
-    return y1 if psi0 is None else np.where(at_zero, psi0, y1)
+    return float(y) if scalar else y
 
 
 def model_from_seq(seq: CoeffSeq, name: str = "sequence") -> SphericalModel:

@@ -639,6 +639,19 @@ def test_model_hs_large_epsilon_writes_underflowed_entries(capsys, tmp_path):
     assert 0.0 < vals[6] < sys.float_info.min and vals[7:] == (0.0,) * 4
 
 
+def test_model_hs_c_near_the_float_maximum(capsys, tmp_path):
+    dst = tmp_path / "x.json"
+    code, out, err = run(capsys, "model", "hs", "--epsilon", "1", "--c", "1e308",
+                         "--n-max", "3", "--output", str(dst))
+    assert (code, out, err) == (0, "", "")
+    assert read_sequence(dst).values[1] == 1.5e308
+    code, out, err = run(capsys, "model", "hs", "--epsilon", "1", "--c", "1.5e308",
+                         "--n-max", "3", "--output", str(tmp_path / "y.json"))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: c = 1.5e+308 puts entry n = 1 of the hs family past the float range"]
+    assert not (tmp_path / "y.json").exists()
+
+
 @pytest.mark.parametrize("flags, dimension", [
     (["example31"], 1),
     (["example31", "--walked-k", "1"], 3),

@@ -128,9 +128,9 @@ def test_sequence_builders_reject_bad_arguments():
         example_walked_seq(-1, 2)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         hs_model_seq(HSModelSpec(epsilon=1.0), -1)
-    # c * 3/2 overflows at n = 1: an error, and no numpy overflow warning
-    with pytest.raises(ValueError, match="finite"):
-        hs_model_seq(HSModelSpec(epsilon=1.0, c=1e308), 3)
+    # c * 3/2 overflows at n = 1: an error naming c and n, and no numpy warning
+    with pytest.raises(ValueError, match=r"c = 1\.5e\+308 puts entry n = 1 "):
+        hs_model_seq(HSModelSpec(epsilon=1.0, c=1.5e308), 3)
 
 
 @pytest.mark.parametrize("build, dimension, b0", [
@@ -164,6 +164,21 @@ def test_hs_seq_within_two_ulp(epsilon):
         for n in range(1, 2001):
             exact = mpmath.mpf(0.7) * (2 * n + 1) / 2 / mpmath.power(n, 2 + mpmath.mpf(epsilon))
             assert abs(vals[n] - exact) <= 2 * math.ulp(float(exact)), n
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.5, 3.7, 10.0, 60.0, 400.0])
+def test_hs_seq_is_the_halved_expression_bit_for_bit(epsilon):
+    # c n^-(2+eps) (n + 1/2) against c n^-(2+eps) (2n+1) / 2: halving is exact.
+    # At c = 1e308 the old form overflows at n = 1, where b_1 = 1.5e308 is a float
+    n = np.arange(1, 3001, dtype=float)
+    for c in (1e-300, 0.7, 1.0, 3.0, 1e10, 1e300, 1e308):
+        with np.errstate(over="ignore"):
+            old = c * n ** -(2.0 + epsilon) * (2 * n + 1) / 2.0
+        finite = np.isfinite(old)
+        new = np.array(hs_model_seq(HSModelSpec(epsilon=epsilon, c=c), 3000).values[1:])
+        assert new[0] == c * 1.5 and finite[1:].all()
+        assert np.array_equal(new[finite], old[finite]), c
 
 
 def test_hs_seq_large_epsilon_underflows_to_zero():

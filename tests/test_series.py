@@ -22,6 +22,7 @@ from dimwalk.series import (
     ResolutionError,
     SphericalModel,
     _basis_rows,
+    _cosine_coeffs,
     check_membership,
     evaluate_series,
     extract_fourier,
@@ -123,21 +124,37 @@ def test_clenshaw_matches_direct_sum():
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+def mp_series(vals, d, t):
+    """sum_n b_n Q_n(cos t) to 40 digits, by the normalized recurrence
+    Q_(j+1) = (2(j+lam) x Q_j - j Q_(j-1)) / (j + 2 lam), lam = (d-1)/2, and
+    Q_1 = x."""
+    with mpmath.workdps(40):
+        x, lam = mpmath.cos(mpmath.mpf(t)), mpmath.mpf(d - 1) / 2
+        q0, q1, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        for j, v in enumerate(vals):
+            total += mpmath.mpf(v) * q1
+            q0, q1 = q1, (2 * (j + lam) * x * q1 - j * q0) / (j + 2 * lam) if j else x
+        return float(total)
+
+
 def test_cosine_series_is_accurate_near_the_poles():
     # the normalized n^-1.1 sequence: its slow decay makes the x = cos(theta)
-    # recurrence lose about n^2 u near theta = 0; Horner in e^(i theta) does not
+    # recurrence lose about n^2 u near theta = 0; the cosine series summed in
+    # powers of e^(i theta) does not, at any d
     n_max = 2000
     raw = [0.0] + [n**-1.1 for n in range(1, n_max + 1)]
     total = math.fsum(raw)
     vals = [v / total for v in raw]
-    seq = CoeffSeq.floats(1, vals)
     bound = 16 * 2.0**-53 * len(vals) * math.fsum(map(abs, vals))
-    with mpmath.workdps(40):
-        for t in (1e-8, 1e-6, 1e-4, math.pi - 1e-6):
-            theta = mpmath.mpf(t)
-            ref = mpmath.fsum(mpmath.mpf(v) * mpmath.cos(n * theta) for n, v in enumerate(vals))
-            assert abs(evaluate_series(seq, t) - float(ref)) <= bound, t
-            assert abs(evaluate_series(seq, np.array([t]))[0] - float(ref)) <= bound, t
+    thetas = [1e-8, 1e-6, 1e-4, math.pi - 1e-6]
+    for d in (1, 2, 3, 5):
+        seq = CoeffSeq.floats(d, vals)
+        got = evaluate_series(seq, np.array(thetas))
+        for t, value in zip(thetas, got):
+            ref = mp_series(vals, d, t)
+            assert abs(value - ref) <= bound, (d, t)
+            if d == 1:
+                assert abs(evaluate_series(seq, t) - ref) <= bound, t
 
 
 def test_evaluate_rejects_out_of_range_theta():
@@ -182,9 +199,11 @@ def test_series_past_float_range_raises_after_one_evaluator_call():
 
 
 def test_evaluate_array_matches_scalar_calls():
+    # at d = 17, 1001 and 2097153 the Pochhammer symbols of the cosine
+    # conversion overflow; the scalar Clenshaw loop checks its scaled ratios
     rnd = random.Random(5)
     thetas = np.array([[0.0, 0.4, 1.3], [2.2, 3.0, math.pi]])
-    for d in (1, 2, 3, 5):
+    for d in (1, 2, 3, 5, 17, 1001, 2097153):
         exact = random_exact_signed(rnd, 30, dimension=d)
         for seq in (exact, exact.to_floats()):
             got = evaluate_series(seq, thetas)
@@ -195,6 +214,33 @@ def test_evaluate_array_matches_scalar_calls():
             scale = math.fsum(abs(float(v)) for v in seq.values)
             assert got.ravel() == pytest.approx(want, rel=0, abs=1e-12 * scale)
             assert got[0, 0] == want[0] == float(seq.total())
+
+
+@pytest.mark.parametrize("d, n_terms", [(2, 2001), (5, 2000), (1001, 12001), (2097153, 2001)])
+def test_cosine_weights_of_each_degree_sum_to_one(d, n_terms):
+    # the cosine weights of Q_n are positive and sum to Q_n(1) = 1; at d = 1001
+    # and 2097153 the chains of cos(m theta) from m = 2287 and 1022 on start
+    # below the normal floats and run down from the top degree, which at
+    # 12001 terms holds 5e-9 of the mass
+    for n in (n_terms - 1, n_terms - 2):
+        b = np.zeros(n_terms)
+        b[n] = 1.0
+        a = _cosine_coeffs(b, d)
+        assert np.all(a >= 0.0) and abs(math.fsum(a) - 1.0) <= 1e-13, n
+
+
+def test_array_values_do_not_depend_on_their_position():
+    # angles go through fixed-size chunks and one matrix product per chunk:
+    # a value is the same bit for bit in any sub-array, order or shape
+    rng = np.random.default_rng(6)
+    thetas = rng.uniform(0.0, math.pi, 1500)
+    for d, n_terms in ((1, 301), (2, 301), (5, 2001), (2, 3)):
+        seq = CoeffSeq.floats(d, rng.uniform(-1.0, 1.0, n_terms).tolist())
+        full = evaluate_series(seq, thetas)
+        for start, stop in ((0, 1), (7, 8), (1, 3), (3, 300), (255, 1500), (1, 1500)):
+            assert np.array_equal(evaluate_series(seq, thetas[start:stop]), full[start:stop])
+        assert np.array_equal(evaluate_series(seq, thetas[::-1]), full[::-1])
+        assert np.array_equal(evaluate_series(seq, thetas.reshape(30, 50)), full.reshape(30, 50))
 
 
 # -- quadrature -----------------------------------------------------------
@@ -505,11 +551,17 @@ def test_gram_calls_the_evaluator_once():
     assert calls[0][0] == 0.0
 
 
-@pytest.mark.parametrize("name", ["example31", "cosine"])
-def test_gram_memory_stays_below_four_matrices(name):
+@pytest.mark.parametrize("model, matrices", [
+    pytest.param(get_model("example31"), 4, id="example31"),
+    pytest.param(get_model("cosine"), 4, id="cosine"),
+    # a series model sums its angles in fixed-size chunks, with no
+    # temporaries the size of the angle array
+    pytest.param(model_from_seq(hs_model_seq(HSModelSpec(epsilon=1.0), 199)), 3, id="hs-series"),
+])
+def test_gram_memory_stays_below_four_matrices(model, matrices):
     # the kernel matrix, its upper-triangle angles and their psi values: the
-    # traced peak stays under four m x m float matrices
-    model, m = get_model(name), 400
+    # traced peak stays under four (three for a series) m x m float matrices
+    m = 400
     gram_psd_check(model, 2, m, seed=1)
     tracemalloc.start()
     try:
@@ -517,7 +569,7 @@ def test_gram_memory_stays_below_four_matrices(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * m * m * 8
+    assert peak < matrices * m * m * 8
 
 
 def test_gram_is_deterministic_in_the_seed():
