@@ -120,6 +120,8 @@ class HSModelSpec:
             raise ValueError("epsilon must be > 0")
         if not self.c0 > 0 or not self.c > 0:
             raise ValueError("c0 and c must be > 0")
+        if self.c0 == math.inf:
+            raise ValueError(f"c0 must be finite, got {self.c0!r}")
 
 
 def hs_model_seq(spec: HSModelSpec, n_max: int) -> CoeffSeq:

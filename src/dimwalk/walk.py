@@ -7,14 +7,14 @@ shortens the sequence by 2k while raising the dimension by 2k.
 
 Two routes compute the same walk: the two-step recursion
 (``walk_recursive``, k steps in one kernel call; ``step_up`` is one step)
-and the closed form (``walk_closed_form``), Horner's rule over the term
-ratios of the weight rows (``weights._row_terms``), compensated for floats.
-``verify_walk_equivalence`` runs both. Exact walks run on object arrays of
-integer numerators and denominators from input to output, with the step and
-row terms in int64 where they fit, and build one reduced Fraction per output
-entry; exact verification compares the pairs by cross products and builds
-none. Float walks are numpy array chains over the whole index range: a step,
-or a Horner level, is one vector expression. All transformations are pure.
+and the closed form (``walk_closed_form``), Horner's rule over the weight
+rows' term ratios, compensated for floats, with the terms drawn one level
+at a time from ``weights`` so that memory does not grow with k;
+``_gap_to_recursion`` compares the two. Exact walks run on integer
+numerator and denominator arrays, with step and row terms in int64 where
+they fit, and build one reduced Fraction per output entry; exact comparison
+uses cross products and builds none. Float walks are numpy array chains: a
+step, or a Horner level, is one vector expression. All walks are pure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .exactnum import _float_tuple, _to_float
 # odd_weights is not called here; it is kept for the benchmark, which traces it by name.
-from .weights import _row_terms, odd_weights  # noqa: F401
+from .weights import _factor, _ratio, odd_weights  # noqa: F401
 
 __all__ = [
     "EXACT",
@@ -242,10 +242,11 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
     """Walk a sequence of any dimension d up by 2k in one shot.
 
     Output entry n is sum_i w_i(n,k) * values[n+2i] with the weight row from
-    dimension d, taken by Horner's rule over the term ratios
-    r_i = w_(i+1)/w_i of ``_row_terms`` as
+    dimension d, by Horner's rule over the term ratios r_i = w_(i+1)/w_i as
     w_0 * (b_n + r_0 * (b_(n+2) + ... + r_(k-1) * b_(n+2k))), one array
-    expression per level over all n; output n_max = n_max - 2k.
+    expression per level over all n; output n_max = n_max - 2k. Level i
+    draws r_i from ``_ratio`` and w_0 takes its k factors from ``_factor``
+    one at a time, so the walk holds one level's terms whatever k is.
 
     Floats run the compensated Horner scheme (Graillat, Langlois & Louvet,
     2005): error-free transformations carry the rounding error of every
@@ -256,26 +257,24 @@ def walk_closed_form(seq: CoeffSeq, k: int) -> CoeffSeq:
 
     Exact sequences go through ``_closed_pairs``: Horner's rule over
     unreduced integer (numerator, denominator) pairs, with the row terms in
-    int64 where they fit, and one Fraction per output entry, which reduces
-    each pair once.
+    int64 where they fit, and one Fraction per output entry, reducing once.
     """
     _check_walk(seq, k)
     if seq.kind == EXACT:
         out = tuple(map(Fraction, *_closed_pairs(*_pairs(seq.values), seq.dimension, k)))
         return CoeffSeq(seq.dimension + 2 * k, out, EXACT)
-    count = seq.n_max - 2 * k + 1
-    factors, ratios = _row_terms(seq.dimension, np.arange(count, dtype=float), k)
-    b = np.array(seq.values)
+    d, count = seq.dimension, seq.n_max - 2 * k + 1
+    n, b = np.arange(count, dtype=float), np.array(seq.values)
     with np.errstate(over="ignore", invalid="ignore"):
         acc, err = b[2 * k :], 0.0
-        for i, (a, c) in reversed(list(enumerate(ratios))):
-            r, rho = _quotient(a, c)
+        for i in reversed(range(k)):
+            r, rho = _quotient(*_ratio(d, n, k, i))
             p, pi = _two_product(r, acc)
             s, sigma = _two_sum(b[2 * i : 2 * i + count], p)
             acc, err = s, sigma + pi + r * err + rho * acc
         w0, w0_err = 1.0, 0.0
-        for num, den in factors:
-            q, rho = _quotient(num, den)
+        for j in range(k):
+            q, rho = _quotient(*_factor(d, n, j))
             p, e = _two_product(w0, q)
             w0, w0_err = p, e + w0 * rho + w0_err * q
         p, e = _two_product(w0, acc)
@@ -290,41 +289,38 @@ def _closed_pairs(num: np.ndarray, den: np.ndarray, d: int, k: int) -> tuple[np.
     (num, den), every den positive. The row terms are int64 where they fit
     (``_indices``)."""
     count = len(num) - 2 * k
-    factors, ratios = _row_terms(d, _indices(count, d, k), k)
+    n = _indices(count, d, k)
     p, q = num[2 * k :], den[2 * k :]
-    for i, (a, c) in reversed(list(enumerate(ratios))):
-        x, y = num[2 * i : 2 * i + count], den[2 * i : 2 * i + count]
+    for i in reversed(range(k)):
+        (a, c), x, y = _ratio(d, n, k, i), num[2 * i : 2 * i + count], den[2 * i : 2 * i + count]
         p, q = x * c * q + a * p * y, y * c * q
-    nums, dens = zip(*factors)  # from p and q on, so no two int64 factors meet
-    return math.prod(nums, start=p), math.prod(dens, start=q)
+    for a, c in (_factor(d, n, j) for j in range(k)):  # into p, q: no two int64 factors meet
+        p, q = p * a, q * c
+    return p, q
 
 
 def verify_walk_equivalence(seq: CoeffSeq, k: int) -> bool:
-    """True iff k repeated steps and the closed-form walk agree entrywise.
+    """True iff k repeated steps and the closed-form walk agree entrywise:
+    exact sequences exactly, float ones within relative 1e-12 or the two
+    routes' rounding bounds, whichever is larger (``_gap_to_recursion``)."""
+    return _gap_to_recursion(seq, k)[1]
 
-    Exact sequences must match exactly: ``_exact_gap`` compares the two pair
-    kernels' outputs by cross products and builds no Fraction where they
-    agree. Float sequences must match within relative 1e-12 or the two
-    routes' rounding bounds, whichever is larger (``_walks_agree``).
-    """
+
+def _gap_to_recursion(seq: CoeffSeq, k: int, closed=None) -> tuple[Fraction | float, bool]:
+    """The largest entrywise |closed - recursive| of the walks of seq by k,
+    and whether the two routes agree; ``closed`` is the closed-form walk when
+    the caller already holds it. Exact walks compare their integer pairs in
+    ``_exact_gap``; float walks pass by ``_walks_agree``."""
+    _check_walk(seq, k)
     if seq.kind == EXACT:
-        _check_walk(seq, k)
         pairs = _pairs(seq.values)
-        closed = _closed_pairs(*pairs, seq.dimension, k)
-        return _exact_gap(closed, _step_pairs(*pairs, seq.dimension, k)) == 0
-    return _walks_agree(seq, k, walk_closed_form(seq, k).values, walk_recursive(seq, k).values)
-
-
-def _gap_to_recursion(seq: CoeffSeq, k: int, closed: CoeffSeq) -> tuple[Fraction | float, bool]:
-    """The largest entrywise |closed - recursive| of a closed-form walk of seq
-    by k, and whether it agrees with the recursion by the gate of
-    ``verify_walk_equivalence``."""
-    if seq.kind == EXACT:
-        gap = _exact_gap(_pairs(closed.values), _step_pairs(*_pairs(seq.values), seq.dimension, k))
+        ends = _closed_pairs(*pairs, seq.dimension, k) if closed is None else _pairs(closed.values)
+        gap = _exact_gap(ends, _step_pairs(*pairs, seq.dimension, k))
         return gap, gap == 0
+    closed = (walk_closed_form(seq, k) if closed is None else closed).values
     stepped = walk_recursive(seq, k).values
-    gap = max(abs(a - b) for a, b in zip(closed.values, stepped))
-    return gap, _walks_agree(seq, k, closed.values, stepped)
+    gap = max(abs(a - b) for a, b in zip(closed, stepped))
+    return gap, _walks_agree(seq, k, closed, stepped)
 
 
 def _exact_gap(closed: tuple, stepped: tuple) -> Fraction:

@@ -9,11 +9,11 @@ It is the Gegenbauer connection formula (DLMF 18.18.16) with lambda =
 (d-1)/2 and mu = lambda + k, whose factor (-k)_i ends it at k+1 entries.
 ``odd_weights`` and ``even_weights`` are the rows from d = 1 and d = 2.
 
-One definition, ``_row_terms``, writes a row as w_0, a product of k integer
-quotients, and k integer term ratios w_(i+1)/w_i, for an int n or an array
-n. Exact rows multiply these integers into one reduced Fraction per
-entry; the closed-form walks run Horner's rule over the same terms and build
-no row.
+Two pure functions of the level j write a row, for an int n or an array n:
+``_factor``, the integer quotient j of w_0, and ``_ratio``, the integer
+term ratio w_(j+1)/w_j. Exact rows multiply them forward into one reduced
+Fraction per entry; the closed-form walks draw level j's terms inside their
+Horner loops and build no row, so a walk holds one level's terms at any k.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .exactnum import _float_tuple
 
@@ -64,21 +63,32 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("k must be >= 1 (the k = 0 walk is the identity)")
 
 
-def _row_terms(d: int, n, k: int):
-    """Iterators over the k factors (num, den) of w_0 and the k term ratios
-    (num, den) of w_(j+1)/w_j of the row from dimension d, for an int n or
-    an array n of floats, int64 or (object dtype) ints. Both are single-pass,
-    so the terms live only while the caller holds them. With lambda = (d-1)/2
-    the Gegenbauer connection formula gives, in the normalized basis,
+def _factor(d: int, n, j: int):
+    """Factor j < k of w_0 as integers (num, den), for an int n or an array n
+    of floats, int64 or (object dtype) ints. With lambda = (d-1)/2 the
+    Gegenbauer connection formula gives, in the normalized basis,
 
         w_0 = (lambda)_k (n+2 lambda)_(2k) / ((n+lambda)_k (2 lambda)_(2k))
-            = prod_j (n+2j+d-1)(n+2j+d) / ((2j+d)(2n+2j+d-1))
+            = prod_j (n+2j+d-1)(n+2j+d) / ((2j+d)(2n+2j+d-1)).
+
+    d = 1 is the limit lambda -> 0, whose j = 0 factor is 0/0 at n = 0, 1/1
+    in the limit.
+    """
+    num, den = (n + (2 * j + d - 1)) * (n + (2 * j + d)), (2 * j + d) * (2 * n + d - 1 + 2 * j)
+    if (d, j) == (1, 0):
+        num, den = num + (n == 0), den + (n == 0)
+    return num, den
+
+
+def _ratio(d: int, n, k: int, j: int):
+    """The term ratio w_(j+1)/w_j of the row by k from dimension d as integers
+    (num, den), for n as in ``_factor``:
+
         w_(j+1)/w_j = -(k-j)/(j+1) * (2n+2j+d-1)(n+2j+1)(n+2j+2)
                                    / ((2n+2j+2k+d+1)(n+2j+d-1)(n+2j+d))
 
-    where the ratio's linear factors n+2j+t shared above and below cancel.
-    d = 1 is the limit lambda -> 0, whose j = 0 terms are 0/0 at n = 0; the
-    limit there is w_0 = 1 and w_1/w_0 = -k/(k+1).
+    where the linear factors n+2j+t shared above and below cancel. At d = 1
+    the j = 0 ratio is 0/0 at n = 0, -k/(k+1) in the limit.
 
     Every num and den is an integer, exact in doubles below 2^53: for n up
     to about 9.4e6 at d <= 3 (k <= 50), but from d = 4, where the ratio is
@@ -88,35 +98,27 @@ def _row_terms(d: int, n, k: int):
     (``walk._indices``: n + d + 2k up to 23,170).
     """
     top, bottom = {1, 2} - {d - 1, d}, {d - 1, d} - {1, 2}
-    h = 2 * n + d - 1
-    ratios = []
-    for j in range(k):
-        m, g = n + 2 * j, h + 2 * j
-        ratios.append((math.prod((m + t for t in top), start=-(k - j) * g),
-                       math.prod((m + t for t in bottom), start=(j + 1) * (g + (2 * k + 2)))))
-    factors = (((n + (2 * j + d - 1)) * (n + (2 * j + d)), (2 * j + d) * (h + 2 * j))
-               for j in range(k))
-    if d == 1:  # the j = 0 terms are 0/0 at n = 0: add the limit's 1/1 and -k/(k+1) there
-        at0 = n == 0
-        (a, b), (c, e) = next(factors), ratios[0]
-        factors, ratios[0] = chain([(a + at0, b + at0)], factors), (c - k * at0, e + (k + 1) * at0)
-    return factors, iter(ratios)
+    m, g = n + 2 * j, 2 * n + d - 1 + 2 * j
+    num = math.prod((m + t for t in top), start=-(k - j) * g)
+    den = math.prod((m + t for t in bottom), start=(j + 1) * (g + (2 * k + 2)))
+    if (d, j) == (1, 0):
+        num, den = num - k * (n == 0), den + (k + 1) * (n == 0)
+    return num, den
 
 
 def _exact_row(d: int, n: int, k: int) -> list[Fraction]:
-    """w_0..w_k from ``_row_terms``, each one Fraction of integer products."""
+    """w_0..w_k from ``_factor`` and ``_ratio``, each one Fraction of integer products."""
     _check_nk(n, k)
-    factors, ratios = _row_terms(d, n, k)
-    nums, dens = zip(*factors)
+    nums, dens = zip(*(_factor(d, n, j) for j in range(k)))
     ws = [Fraction(math.prod(nums), math.prod(dens))]
-    for a, b in ratios:
+    for a, b in (_ratio(d, n, k, j) for j in range(k)):
         ws.append(Fraction(ws[-1].numerator * a, ws[-1].denominator * b))
     return ws
 
 
 def odd_weights(n: int, k: int) -> WalkWeights:
     """Exact weights taking dimension-1 coefficients to dimension 2k+1, the
-    d = 1 row of ``_row_terms``. Entry i is
+    d = 1 row of ``_factor`` and ``_ratio``. Entry i is
 
         (-1)^i / 2^k * C(k,i) * (n+k)(n+2i) / (2k-1)!!
                      * (n+1)_(2k-1) / (n+i)_(k+1)
@@ -129,7 +131,7 @@ def odd_weights(n: int, k: int) -> WalkWeights:
 
 def even_weights(n: int, k: int) -> WalkWeights:
     """Exact weights taking dimension-2 coefficients to dimension 2k+2, the
-    d = 2 row of ``_row_terms``. Entry i is
+    d = 2 row of ``_factor`` and ``_ratio``. Entry i is
 
         (-1)^i * (2k-1)!!/2^k * C(k,i) * C(2k+n,n)
                / [ (n+i+1/2)_(k-i) * (n+k+3/2)_(i) ]

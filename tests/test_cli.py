@@ -652,6 +652,19 @@ def test_model_hs_c_near_the_float_maximum(capsys, tmp_path):
     assert not (tmp_path / "y.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--c0", "inf", "c0 must be finite, got inf"),
+    ("--c0", "nan", "c0 and c must be > 0"),
+    ("--c", "inf", "c = inf puts entry n = 1 of the hs family past the float range"),
+], ids=["c0-inf", "c0-nan", "c-inf"])
+def test_model_hs_non_finite_constants_are_named(capsys, tmp_path, flag, value, message):
+    dst = tmp_path / "x.json"
+    code, out, err = run(capsys, "model", "hs", "--epsilon", "1", flag, value,
+                         "--n-max", "3", "--output", str(dst))
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("flags, dimension", [
     (["example31"], 1),
     (["example31", "--walked-k", "1"], 3),

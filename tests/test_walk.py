@@ -2,8 +2,10 @@
 equivalence, truncation bookkeeping, linearity, and the n = 0 identity.
 """
 
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -284,6 +286,49 @@ def test_float_closed_form_at_k50_within_half_the_rounding_bound():
         assert all(math.isfinite(g) for g in got)
         for g, e, b in zip(got, exact, _rounding_bound(seq, 50)):
             assert abs(Q(g) - e) <= Q(b) / 2
+
+
+def _closed_form_digest() -> str:
+    """SHA-256 of closed-form walks (floats by float.hex, exact walks as
+    reduced fractions) and exact weight rows over d in {1, 2, 5, 2097153}
+    and k in {1, 16, 50}, on inputs seeded through random.Random.random.
+    The smooth input makes the walk cancel, so its compensated values keep
+    the last bits of every term expression and of their order."""
+    h = hashlib.sha256()
+    for d in (1, 2, 5, 2097153):
+        rnd = random.Random(d)
+        s, t = 1 + rnd.random(), 1 + rnd.random()
+        noisy = CoeffSeq.floats(d, [2 * rnd.random() - 1 for _ in range(201)])
+        smooth = CoeffSeq.floats(d, [t / ((n + s) * (n + s)) for n in range(201)])
+        exact = CoeffSeq.exact(
+            d, [Q(int(2001 * rnd.random()) - 1000, 1 + int(720 * rnd.random())) for _ in range(201)]
+        )
+        for k in (1, 16, 50):
+            lines = [*(map(float.hex, walk_closed_form(seq, k).values) for seq in (noisy, smooth)),
+                     map(str, walk_closed_form(exact, k).values),
+                     *(map(str, weights_module._exact_row(d, n, k)) for n in (0, 1, 7))]
+            h.update("\n".join(" ".join(line) for line in lines).encode())
+    return h.hexdigest()
+
+
+def test_closed_form_outputs_are_bit_identical_to_a_frozen_digest():
+    # the route comparisons allow a tolerance, so only this test sees a
+    # reordered term expression move the last bits of a float walk
+    frozen = "edb4d825678b265067cb6e2f787cf654b706c0164505eca421f92778eccc05b4"
+    assert _closed_form_digest() == frozen
+
+
+def test_float_closed_form_memory_does_not_grow_with_k():
+    seq = hs_model_seq(HSModelSpec(epsilon=1.0), 20_000)
+    peaks = {}
+    for k in (1, 50):
+        tracemalloc.start()
+        try:
+            walk_closed_form(seq, k)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[50] < 2 * peaks[1], peaks
 
 
 def test_zero_row_identity():
