@@ -5,13 +5,15 @@ trapezoid and Gauss-Legendre extraction of expansion coefficients from an
 evaluable correlation model, truncation-level membership evidence, and the
 seeded random-point Gram matrix spot check of positive definiteness.
 
-Everything is pure given (model, seed); per-coefficient extraction work is
-independent row by row.
+Everything is pure given (model, seed): the one state, a memo of each live
+sequence's cosine coefficients, changes no value. Per-coefficient extraction
+work is independent row by row.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,24 +78,19 @@ def _check_theta(theta) -> None:
         raise ValueError(f"theta must lie in [0, pi], got {float(t[~ok].flat[0])!r}")
 
 
-@lru_cache(maxsize=32)
-def _recurrence(d: int, n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """a_j = 2(j+lam)/(j+2 lam), c_j = -j/(j+2 lam) (lam = (d-1)/2) of the
-    normalized relation Q_{j+1} = a_j x Q_j + c_j Q_{j-1} with Q_0 = 1; a_0 = 1
-    and c_0 = 0 give Q_1 = x. Every Q_j stays in [-1, 1], so none overflows."""
-    lam = (d - 1) / 2
-    a = (1.0,) + tuple(2 * (j + lam) / (j + 2 * lam) for j in range(1, n_max + 1))
-    c = (0.0,) + tuple(-j / (j + 2 * lam) for j in range(1, n_max + 2))
-    return a, c
-
-
 def _basis_rows(d: int, n_max: int, x: np.ndarray):
-    """Yield the normalized basis rows n = 0..n_max at x = cos(theta) points."""
-    a, c = _recurrence(d, n_max)
+    """Yield the normalized basis rows n = 0..n_max at x = cos(theta) points.
+
+    The relation is Q_(j+1) = a_j x Q_j + c_j Q_(j-1) with Q_0 = 1,
+    a_j = 2(j+lam)/(j+2 lam) and c_j = -j/(j+2 lam), lam = (d-1)/2; a_0 = 1
+    and c_0 = 0 give Q_1 = x. Every Q_j stays in [-1, 1], so none overflows.
+    """
+    lam = (d - 1) / 2
     q0, q1 = np.zeros_like(x), np.ones_like(x)
     for j in range(n_max + 1):
         yield q1
-        q0, q1 = q1, a[j] * x * q1 + c[j] * q0
+        a, c = (2 * (j + lam) / (j + 2 * lam), -j / (j + 2 * lam)) if j else (1.0, 0.0)
+        q0, q1 = q1, a * x * q1 + c * q0
 
 
 def _cosine_coeffs(b: np.ndarray, d: int) -> np.ndarray:
@@ -200,22 +197,32 @@ def _cos_sum(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+# The cosine coefficients of each live sequence, dropped with the sequence.
+_COSINE_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cosine_series(seq: CoeffSeq) -> np.ndarray:
+    """``_cosine_coeffs`` of a sequence's floats, converted once per sequence."""
+    a = _COSINE_MEMO.get(seq)
+    if a is None:
+        b = seq.to_floats().values
+        a = _COSINE_MEMO[seq] = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
+    return a
+
+
 def evaluate_series(seq: CoeffSeq, theta):
     """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
 
     A float theta gives a float, an ndarray an array of the same shape; every
     angle must lie in [0, pi], and theta = 0 gives the coefficient sum (exact
-    for exact sequences). An array of angles at any d, and every d = 1 call,
-    is the cosine series of the sequence (``_cosine_coeffs``, DLMF 18.5.11)
-    summed by baby and giant steps in e^(i theta) (``_cos_sum``). Its error is
-    O(N u sum|b_n|) at every angle, the poles included, since the cosine
-    weights are positive and no step works in cos(theta). The O(N^2)
-    conversion is paid on every call; nothing is kept between calls. A float
-    theta at d >= 2, where the conversion would cost many times the sum, is
-    the Clenshaw recurrence y_j = b_j + a_j x y_(j+1) + c_(j+1) y_(j+2) in
-    x = cos(theta), which loses about n^2 u near theta = 0 because cos(theta)
-    rounds to 1. A value past the float range raises ValueError naming its
-    angle.
+    for exact sequences). Every other angle, at any d, is the cosine series of
+    the sequence (``_cosine_coeffs``, DLMF 18.5.11) summed by baby and giant
+    steps in e^(i theta) (``_cos_sum``), so a single angle and the same angle
+    in an array give the same value bit for bit. Its error is O(N u sum|b_n|)
+    at every angle, the poles included, since the cosine weights are positive
+    and no step works in cos(theta). The O(N^2) conversion is paid once per
+    sequence and kept while the sequence lives. A value past the float range
+    raises ValueError naming its angle.
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
@@ -224,25 +231,15 @@ def evaluate_series(seq: CoeffSeq, theta):
     psi0 = seq.float_total() if at_zero.any() else None
     if scalar and psi0 is not None:
         return psi0
-    b = seq.to_floats().values
+    t = np.asarray(theta, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        if scalar and seq.dimension > 1:
-            x = math.cos(theta)
-            a, c = _recurrence(seq.dimension, len(b) - 1)
-            y = y2 = 0.0
-            # c has one entry more than b: reversed, zip pairs b_j with c_(j+1)
-            for b_j, a_j, c_j1 in zip(reversed(b), reversed(a), reversed(c)):
-                y, y2 = b_j + a_j * x * y + c_j1 * y2, y
-        else:
-            t = np.asarray(theta, dtype=float)
-            cos_coeffs = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
-            y = _cos_sum(cos_coeffs, t.ravel()).reshape(t.shape)
-            if psi0 is not None:
-                y[at_zero] = psi0
+        y = _cos_sum(_cosine_series(seq), t.ravel()).reshape(t.shape)
+    if psi0 is not None:
+        y[at_zero] = psi0
     bad = ~np.isfinite(y)
     if bad.any():
-        t = float(np.asarray(theta, dtype=float)[bad][0])
-        raise ValueError(f"the series value at theta = {t!r} lies outside the float range")
+        angle = float(t[bad][0])
+        raise ValueError(f"the series value at theta = {angle!r} lies outside the float range")
     return float(y) if scalar else y
 
 

@@ -1,13 +1,18 @@
 """Series numerics: unit-vector series against scipy's basis functions,
-evaluation vs direct summation and 40-digit sums near the poles, quadrature
-rules against textbook values and numpy, extraction round-trips, the
-walk/extraction commutation, membership evidence, the eigenvalue wrapper's
-contract, and Gram positive-definiteness spot checks.
+evaluation vs direct summation and 40-digit sums near the poles, the
+per-sequence memo of cosine coefficients (one conversion, weak keys, threads),
+quadrature rules against textbook values and numpy, extraction round-trips,
+the walk/extraction commutation, membership evidence, the eigenvalue
+wrapper's contract, and Gram positive-definiteness spot checks.
 """
 
+import gc
 import math
 import random
+import sys
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction as Q
 
 import mpmath
@@ -15,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_legendre
 
+from dimwalk import series
 from dimwalk.models import HSModelSpec, example_fourier_seq, get_model, hs_model_seq
 from dimwalk.series import (
     GRAM_EIGEN_TOL,
@@ -112,7 +118,7 @@ def test_evaluate_simple_cases():
     assert evaluate_series(seq, math.pi / 2) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_clenshaw_matches_direct_sum():
+def test_series_matches_direct_sum():
     rnd = random.Random(77)
     thetas = [0.1, 0.7, 1.5707, 2.9, math.pi]
     for d in (1, 2, 3, 5):
@@ -138,9 +144,9 @@ def mp_series(vals, d, t):
 
 
 def test_cosine_series_is_accurate_near_the_poles():
-    # the normalized n^-1.1 sequence: its slow decay makes the x = cos(theta)
-    # recurrence lose about n^2 u near theta = 0; the cosine series summed in
-    # powers of e^(i theta) does not, at any d
+    # the normalized n^-1.1 sequence: its slow decay makes a recurrence in
+    # x = cos(theta) lose about n^2 u near theta = 0; the cosine series summed
+    # in powers of e^(i theta) does not, at any d, for arrays and single angles
     n_max = 2000
     raw = [0.0] + [n**-1.1 for n in range(1, n_max + 1)]
     total = math.fsum(raw)
@@ -153,8 +159,7 @@ def test_cosine_series_is_accurate_near_the_poles():
         for t, value in zip(thetas, got):
             ref = mp_series(vals, d, t)
             assert abs(value - ref) <= bound, (d, t)
-            if d == 1:
-                assert abs(evaluate_series(seq, t) - ref) <= bound, t
+            assert abs(evaluate_series(seq, t) - ref) <= bound, (d, t)
 
 
 def test_evaluate_rejects_out_of_range_theta():
@@ -199,8 +204,9 @@ def test_series_past_float_range_raises_after_one_evaluator_call():
 
 
 def test_evaluate_array_matches_scalar_calls():
-    # at d = 17, 1001 and 2097153 the Pochhammer symbols of the cosine
-    # conversion overflow; the scalar Clenshaw loop checks its scaled ratios
+    # a single angle takes the same route as an array, bit for bit; at d = 17,
+    # 1001 and 2097153 the Pochhammer symbols of the cosine conversion would
+    # overflow, and its scaled ratios do not
     rnd = random.Random(5)
     thetas = np.array([[0.0, 0.4, 1.3], [2.2, 3.0, math.pi]])
     for d in (1, 2, 3, 5, 17, 1001, 2097153):
@@ -210,9 +216,7 @@ def test_evaluate_array_matches_scalar_calls():
             assert isinstance(got, np.ndarray) and got.shape == thetas.shape
             want = [evaluate_series(seq, float(t)) for t in thetas.flat]
             assert all(isinstance(v, float) for v in want)
-            # same arithmetic; only the cosine routine may differ by an ulp
-            scale = math.fsum(abs(float(v)) for v in seq.values)
-            assert got.ravel() == pytest.approx(want, rel=0, abs=1e-12 * scale)
+            assert got.ravel().tolist() == want
             assert got[0, 0] == want[0] == float(seq.total())
 
 
@@ -227,6 +231,58 @@ def test_cosine_weights_of_each_degree_sum_to_one(d, n_terms):
         b[n] = 1.0
         a = _cosine_coeffs(b, d)
         assert np.all(a >= 0.0) and abs(math.fsum(a) - 1.0) <= 1e-13, n
+
+
+def test_cosine_series_is_converted_once_per_live_sequence(monkeypatch):
+    # 32 single angles on one sequence pay one conversion, and the memo holds
+    # its sequence weakly: once the sequence goes, so does its entry
+    calls = []
+
+    def counted(b, d):
+        calls.append(d)
+        return _cosine_coeffs(b, d)
+
+    monkeypatch.setattr(series, "_cosine_coeffs", counted)
+    monkeypatch.setattr(series, "_COSINE_MEMO", weakref.WeakKeyDictionary())
+    seq = CoeffSeq.floats(5, np.linspace(1.0, 0.0, 200).tolist())
+    for t in np.linspace(0.1, 3.0, 32):
+        evaluate_series(seq, t)
+    assert calls == [5]
+    ref = weakref.ref(seq)
+    del seq
+    gc.collect()
+    assert ref() is None and len(series._COSINE_MEMO) == 0
+
+
+def test_cosine_memo_under_threads():
+    # more threads than cores race to fill and drop memo entries; a race may
+    # convert a sequence twice, but every value equals the one-thread value
+    rng = np.random.default_rng(8)
+    vals = [rng.uniform(-1.0, 1.0, 300).tolist() for _ in range(3)]
+    thetas = np.linspace(0.1, 3.0, 16)
+    want = [evaluate_series(CoeffSeq.floats(3, v), thetas).tolist() for v in vals]
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(12):
+                seq = CoeffSeq.floats(3, vals[(i + j) % 3])
+                got = [evaluate_series(seq, float(t)) for t in thetas]
+                assert got == want[(i + j) % 3]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
 
 
 def test_array_values_do_not_depend_on_their_position():
