@@ -5,15 +5,14 @@ trapezoid and Gauss-Legendre extraction of expansion coefficients from an
 evaluable correlation model, truncation-level membership evidence, and the
 seeded random-point Gram matrix spot check of positive definiteness.
 
-Everything is pure given (model, seed): the one state, a memo of each live
-sequence's cosine coefficients, changes no value. Per-coefficient extraction
-work is independent row by row.
+Everything is pure given (model, seed): the one state, the cosine coefficients
+a sequence keeps once it has been evaluated, changes no value. Per-coefficient
+extraction work is independent row by row.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 NONNEG_TOL = 1e-12       # float entries below -NONNEG_TOL count as violations
-GRAM_EIGEN_TOL = 1e-9    # pass iff min eigenvalue >= -GRAM_EIGEN_TOL * point_count
+GRAM_EIGEN_TOL = 1e-9    # pass iff min eigenvalue >= -GRAM_EIGEN_TOL * point_count * psi(0)
 
 
 class ResolutionError(ValueError):
@@ -78,19 +77,15 @@ def _check_theta(theta) -> None:
         raise ValueError(f"theta must lie in [0, pi], got {float(t[~ok].flat[0])!r}")
 
 
-def _basis_rows(d: int, n_max: int, x: np.ndarray):
-    """Yield the normalized basis rows n = 0..n_max at x = cos(theta) points.
-
-    The relation is Q_(j+1) = a_j x Q_j + c_j Q_(j-1) with Q_0 = 1,
-    a_j = 2(j+lam)/(j+2 lam) and c_j = -j/(j+2 lam), lam = (d-1)/2; a_0 = 1
-    and c_0 = 0 give Q_1 = x. Every Q_j stays in [-1, 1], so none overflows.
+def _legendre_rows(n_max: int, x: np.ndarray):
+    """Yield the Legendre rows P_n(x), n = 0..n_max, by the relation
+    P_(j+1) = (2j+1)/(j+1) x P_j - j/(j+1) P_(j-1) from P_0 = 1. On [-1, 1]
+    every row stays in [-1, 1], so none overflows.
     """
-    lam = (d - 1) / 2
     q0, q1 = np.zeros_like(x), np.ones_like(x)
     for j in range(n_max + 1):
         yield q1
-        a, c = (2 * (j + lam) / (j + 2 * lam), -j / (j + 2 * lam)) if j else (1.0, 0.0)
-        q0, q1 = q1, a * x * q1 + c * q0
+        q0, q1 = q1, (2 * j + 1) / (j + 1) * x * q1 - j / (j + 1) * q0
 
 
 def _cosine_coeffs(b: np.ndarray, d: int) -> np.ndarray:
@@ -197,16 +192,16 @@ def _cos_sum(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-# The cosine coefficients of each live sequence, dropped with the sequence.
-_COSINE_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _cosine_series(seq: CoeffSeq) -> np.ndarray:
-    """``_cosine_coeffs`` of a sequence's floats, converted once per sequence."""
-    a = _COSINE_MEMO.get(seq)
+    """``_cosine_coeffs`` of a sequence's floats, converted on the first call and
+    kept read-only in the sequence's ``__dict__``, outside its fields: no lookup
+    hashes the values, and the array lives as long as the sequence."""
+    a = seq.__dict__.get("_cosine_series")
     if a is None:
         b = seq.to_floats().values
-        a = _COSINE_MEMO[seq] = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
+        a = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
+        a.setflags(write=False)
+        seq.__dict__["_cosine_series"] = a
     return a
 
 
@@ -221,8 +216,8 @@ def evaluate_series(seq: CoeffSeq, theta):
     in an array give the same value bit for bit. Its error is O(N u sum|b_n|)
     at every angle, the poles included, since the cosine weights are positive
     and no step works in cos(theta). The O(N^2) conversion is paid once per
-    sequence and kept while the sequence lives. A value past the float range
-    raises ValueError naming its angle.
+    sequence object and kept on it, so no call hashes the sequence's values.
+    A value past the float range raises ValueError naming its angle.
     """
     _check_theta(theta)
     scalar = np.ndim(theta) == 0
@@ -284,7 +279,7 @@ def extract_fourier(model: SphericalModel, n_max: int, grid_size: int) -> CoeffS
 
 def _legendre_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_order(x) and its derivative (order >= 1)."""
-    p0, p1 = deque(_basis_rows(2, order, x), maxlen=2)
+    p0, p1 = deque(_legendre_rows(order, x), maxlen=2)
     return p1, order * (x * p1 - p0) / (x * x - 1.0)
 
 
@@ -335,7 +330,7 @@ def extract_legendre(model: SphericalModel, n_max: int, order: int) -> CoeffSeq:
         raise ResolutionError(f"order must be >= n_max + 1 = {n_max + 1}, got {order}")
     nodes, weights = gauss_legendre_rule(order)
     wpsi = weights * _evaluate(model, np.arccos(nodes))
-    rows = _basis_rows(2, n_max, nodes)
+    rows = _legendre_rows(n_max, nodes)
     with np.errstate(over="ignore", invalid="ignore"):  # CoeffSeq rejects inf and nan
         coeffs = [(n + 0.5) * float(row @ wpsi) for n, row in enumerate(rows)]
     return CoeffSeq.floats(2, coeffs)
@@ -412,8 +407,11 @@ def gram_psd_check(
     arccos, has its minimum eigenvalue from LAPACK ``eigvalsh``, which reads
     only its lower triangle and diagonal. One evaluator call gives psi at 0
     (the diagonal) and at the upper-triangle angles in row order. Passing
-    means min eigenvalue >= -1e-9 * point_count. A failure report carries the
-    seed so the witness configuration can be replayed.
+    means psi(0) >= 0 and min eigenvalue >= -1e-9 * point_count * psi(0): the
+    rounding floor of the eigenvalues scales with the kernel, which a PSD
+    kernel's diagonal psi(0) bounds, and psi(0) < 0 is a negative diagonal,
+    never PSD. A failure report carries the seed so the witness configuration
+    can be replayed.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -430,12 +428,13 @@ def gram_psd_check(
     psi = _evaluate(model, theta)
     g = np.zeros((point_count, point_count))
     g.T[upper] = psi[1:]  # the upper triangle of g.T is the lower one of g
-    np.fill_diagonal(g, psi[0])
+    psi0 = float(psi[0])
+    np.fill_diagonal(g, psi0)
     del theta, psi, upper
     min_eig = float(np.linalg.eigvalsh(g)[0])
     return GramReport(
         point_count=point_count,
         min_eigen_estimate=min_eig,
-        psd_pass=min_eig >= -GRAM_EIGEN_TOL * point_count,
+        psd_pass=psi0 >= 0.0 and min_eig >= -GRAM_EIGEN_TOL * point_count * psi0,
         seed=seed,
     )

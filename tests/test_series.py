@@ -1,11 +1,12 @@
 """Series numerics: unit-vector series against scipy's basis functions,
 evaluation vs direct summation and 40-digit sums near the poles, the
-per-sequence memo of cosine coefficients (one conversion, weak keys, threads),
+cosine coefficients each sequence keeps (one conversion, no hash, threads),
 quadrature rules against textbook values and numpy, extraction round-trips,
 the walk/extraction commutation, membership evidence, the eigenvalue
 wrapper's contract, and Gram positive-definiteness spot checks.
 """
 
+import dataclasses
 import gc
 import math
 import random
@@ -27,8 +28,8 @@ from dimwalk.series import (
     MembershipReport,
     ResolutionError,
     SphericalModel,
-    _basis_rows,
     _cosine_coeffs,
+    _legendre_rows,
     check_membership,
     evaluate_series,
     extract_fourier,
@@ -94,10 +95,9 @@ def test_basis_matches_scipy():
 
 def test_basis_is_bounded_by_one():
     thetas = np.linspace(0.0, math.pi, 1000)
-    x = np.cos(thetas)
     for d in range(1, 10):
-        mat = np.array(list(_basis_rows(d, 200, x)))
-        assert float(np.max(np.abs(mat))) <= 1.0 + 1e-12
+        for n in range(201):
+            assert float(np.max(np.abs(basis(d, n, thetas)))) <= 1.0 + 1e-12, (d, n)
 
 
 # -- series evaluation ----------------------------------------------------
@@ -233,9 +233,9 @@ def test_cosine_weights_of_each_degree_sum_to_one(d, n_terms):
         assert np.all(a >= 0.0) and abs(math.fsum(a) - 1.0) <= 1e-13, n
 
 
-def test_cosine_series_is_converted_once_per_live_sequence(monkeypatch):
-    # 32 single angles on one sequence pay one conversion, and the memo holds
-    # its sequence weakly: once the sequence goes, so does its entry
+def test_cosine_series_is_converted_once_per_sequence(monkeypatch):
+    # 32 single angles on one sequence pay one conversion, which the sequence
+    # keeps, read-only, and which nothing else holds: the sequence is collected
     calls = []
 
     def counted(b, d):
@@ -243,15 +243,50 @@ def test_cosine_series_is_converted_once_per_live_sequence(monkeypatch):
         return _cosine_coeffs(b, d)
 
     monkeypatch.setattr(series, "_cosine_coeffs", counted)
-    monkeypatch.setattr(series, "_COSINE_MEMO", weakref.WeakKeyDictionary())
     seq = CoeffSeq.floats(5, np.linspace(1.0, 0.0, 200).tolist())
     for t in np.linspace(0.1, 3.0, 32):
         evaluate_series(seq, t)
     assert calls == [5]
+    assert not series._cosine_series(seq).flags.writeable
     ref = weakref.ref(seq)
     del seq
     gc.collect()
-    assert ref() is None and len(series._COSINE_MEMO) == 0
+    assert ref() is None
+
+
+def test_evaluate_series_never_hashes_its_sequence(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the sequence was hashed")
+
+    monkeypatch.setattr(CoeffSeq, "__hash__", refuse)
+    for seq in (CoeffSeq.floats(3, [0.5, 0.25, 0.25]), CoeffSeq.exact(2, [Q(1, 2), Q(1, 2)])):
+        for _ in range(2):  # the first call converts, the second reuses
+            evaluate_series(seq, 0.7)
+            evaluate_series(seq, np.array([0.0, 0.7, 2.0]))
+
+
+def test_equal_sequences_give_identical_values():
+    # two equal sequences each convert their own values, bit for bit alike
+    rng = np.random.default_rng(12)
+    thetas = rng.uniform(0.0, math.pi, 64)
+    for d in (1, 2, 5):
+        vals = rng.uniform(-1.0, 1.0, 500).tolist()
+        a, b = CoeffSeq.floats(d, vals), CoeffSeq.floats(d, vals)
+        assert a == b and a is not b
+        assert np.array_equal(evaluate_series(a, thetas), evaluate_series(b, thetas))
+        assert [evaluate_series(a, float(t)) for t in thetas[:8]] == [
+            evaluate_series(b, float(t)) for t in thetas[:8]
+        ]
+
+
+def test_evaluated_sequence_keeps_its_value_semantics():
+    seq = CoeffSeq.floats(2, [0.5, 0.3, 0.2])
+    twin = CoeffSeq.floats(2, [0.5, 0.3, 0.2])
+    before = (hash(seq), repr(seq), dataclasses.fields(seq))
+    evaluate_series(seq, 1.0)
+    assert seq == twin and twin == seq
+    assert (hash(seq), repr(seq), dataclasses.fields(seq)) == before
+    assert hash(seq) == hash(twin) and repr(seq) == repr(twin)
 
 
 def test_cosine_memo_under_threads():
@@ -443,7 +478,7 @@ def test_extract_legendre_matches_dense_product(n_max, order):
     model = get_model("hs", epsilon=1.0)
     nodes, weights = gauss_legendre_rule(order)
     wpsi = weights * model.evaluator(np.arccos(nodes))
-    dense = np.array(list(_basis_rows(2, n_max, nodes))) @ wpsi
+    dense = np.array(list(_legendre_rows(n_max, nodes))) @ wpsi
     scale = np.arange(n_max + 1) + 0.5
     u = np.finfo(float).eps / 2
     bound = 2 * order * u * scale * float(np.sum(np.abs(wpsi)))
@@ -566,6 +601,27 @@ def test_gram_detects_negative_coefficient():
     report = gram_psd_check(bad, 2, 20, seed=7)
     assert not report.psd_pass
     assert report.min_eigen_estimate < -1.0
+
+
+def test_gram_gate_scales_with_psi0():
+    # a PSD series scaled by 1e9 passes, where rounding puts its minimum
+    # eigenvalue far below -1e-9 * m; a non-PSD one scaled by 1e-9 fails,
+    # where its minimum eigenvalue lies above -1e-9 * m
+    ex31 = [1e9 * v for v in example_fourier_seq(400).values]
+    big = gram_psd_check(model_from_seq(CoeffSeq.floats(1, ex31)), 1, 1000, seed=7)
+    assert big.min_eigen_estimate < -GRAM_EIGEN_TOL * 1000 and big.psd_pass
+    tiny = [1e-9 * v for v in (0.5, -0.05, 0.3, 0.25)]
+    small = gram_psd_check(model_from_seq(CoeffSeq.floats(1, tiny)), 1, 200, seed=7)
+    assert -GRAM_EIGEN_TOL * 200 < small.min_eigen_estimate < 0.0 and not small.psd_pass
+
+
+def test_gram_gate_with_psi0_at_most_zero():
+    # psi(0) < 0 is a negative diagonal: FAIL, however small; psi = 0 is the
+    # zero matrix, PSD
+    neg = gram_psd_check(model_from_seq(CoeffSeq.floats(2, [-1e-20])), 2, 20, seed=1)
+    assert neg.min_eigen_estimate > -GRAM_EIGEN_TOL * 20 and not neg.psd_pass
+    zero = gram_psd_check(model_from_seq(CoeffSeq.floats(2, [0.0, 0.0])), 2, 20, seed=1)
+    assert zero.min_eigen_estimate == 0.0 and zero.psd_pass
 
 
 def test_gram_exact_sequence_matches_its_float_image():
