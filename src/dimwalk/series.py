@@ -5,9 +5,10 @@ trapezoid and Gauss-Legendre extraction of expansion coefficients from an
 evaluable correlation model, truncation-level membership evidence, and the
 seeded random-point Gram matrix spot check of positive definiteness.
 
-Everything is pure given (model, seed): the one state, the cosine coefficients
-a sequence keeps once it has been evaluated, changes no value. Per-coefficient
-extraction work is independent row by row.
+Everything is pure given (model, seed): the one state, the two arrays a
+sequence keeps once it has been evaluated (its cosine coefficients and their
+baby-step matrix, about 5N doubles, 80 KB at N = 2,001), changes no value.
+Per-coefficient extraction work is independent row by row.
 """
 
 from __future__ import annotations
@@ -155,17 +156,12 @@ def _cosine_coeffs(b: np.ndarray, d: int) -> np.ndarray:
 _CHUNK_BLOCK, _CHUNK_MAX, _MATMUL_MAX = 32, 256, 2**18
 
 
-def _cos_sum(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_m a_m cos(m theta) at a flat array of angles, by baby and giant steps.
+def _baby_step_matrix(a: np.ndarray) -> np.ndarray:
+    """The (2B x 2G) real matrix of ``_cos_sum`` for cosine coefficients a.
 
-    With m = qB + r, B = ceil(sqrt(N)) and z = e^(i theta), the sum is
-    Re sum_q z^(qB) P_q with P_q = sum_(r<B) a_(qB+r) z^r. The steps z^r and
-    z^(qB) are cumulative products of e^(i theta) and e^(i B theta): no
-    trigonometric function per term, and accurate phases near 0 and pi. One
-    real matrix product takes the baby steps, as (re, im) pairs, to
-    (Re P_q, -Im P_q) pairs, which a row-wise dot product with the giant
-    steps sums. Every chunk of angles has one fixed size, the last one
-    padded, so no value depends on where its angle sits in the array.
+    With B = ceil(sqrt(N)) and G = ceil(N/B), coef[q, r] = a_(qB+r) (zero past
+    N) is interleaved so that a row of baby steps z^r as (re, im) pairs times
+    the matrix gives the (Re P_q, -Im P_q) pairs. About 4N doubles.
     """
     n_terms = a.size
     baby = math.isqrt(n_terms - 1) + 1
@@ -174,7 +170,25 @@ def _cos_sum(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     coef.flat[:n_terms] = a  # coef[q, r] = a_(qB+r)
     mat = np.zeros((baby, 2, giant, 2))
     mat[:, 0, :, 0], mat[:, 1, :, 1] = coef.T, -coef.T
-    mat = mat.reshape(2 * baby, 2 * giant)
+    return mat.reshape(2 * baby, 2 * giant)
+
+
+def _cos_sum(mat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_m a_m cos(m theta) at a flat array of angles, by baby and giant steps,
+    from the ``_baby_step_matrix`` of the a_m.
+
+    With m = qB + r, B = ceil(sqrt(N)) and z = e^(i theta), the sum is
+    Re sum_q z^(qB) P_q with P_q = sum_(r<B) a_(qB+r) z^r. The steps z^r and
+    z^(qB) are cumulative products of e^(i theta) and e^(i B theta): no
+    trigonometric function per term, and accurate phases near 0 and pi. One
+    real matrix product takes the baby steps, as (re, im) pairs, to
+    (Re P_q, -Im P_q) pairs, which a row-wise dot product with the giant
+    steps sums. Every chunk of angles has one fixed size, the last one
+    padded, so no value depends on where its angle sits in the array. The
+    matrix (about 4N doubles) is kept on the sequence beside its N cosine
+    coefficients, so a call builds only the steps.
+    """
+    baby, giant = mat.shape[0] // 2, mat.shape[1] // 2
     blocks = _MATMUL_MAX // (4 * baby * giant * _CHUNK_BLOCK)
     rows = min(_CHUNK_MAX, _CHUNK_BLOCK * max(1, blocks))
     phase = np.zeros((2, rows))  # theta and B theta; padding keeps earlier angles
@@ -205,6 +219,17 @@ def _cosine_series(seq: CoeffSeq) -> np.ndarray:
     return a
 
 
+def _sum_plan(seq: CoeffSeq) -> np.ndarray:
+    """The ``_baby_step_matrix`` of ``_cosine_series(seq)``, about 4N doubles,
+    built on the first call and kept read-only beside the cosine coefficients."""
+    mat = seq.__dict__.get("_sum_plan")
+    if mat is None:
+        mat = _baby_step_matrix(_cosine_series(seq))
+        mat.setflags(write=False)
+        seq.__dict__["_sum_plan"] = mat
+    return mat
+
+
 def evaluate_series(seq: CoeffSeq, theta):
     """Evaluate sum_n b_n * basis_n(theta) at a float angle or an array of them.
 
@@ -215,8 +240,10 @@ def evaluate_series(seq: CoeffSeq, theta):
     steps in e^(i theta) (``_cos_sum``), so a single angle and the same angle
     in an array give the same value bit for bit. Its error is O(N u sum|b_n|)
     at every angle, the poles included, since the cosine weights are positive
-    and no step works in cos(theta). The O(N^2) conversion is paid once per
-    sequence object and kept on it, so no call hashes the sequence's values.
+    and no step works in cos(theta). The O(N^2) conversion and the baby-step
+    matrix built from it are paid once per sequence object and kept on it,
+    read-only (about 5N doubles, 80 KB at N = 2,001), so no call hashes the
+    sequence's values or rebuilds the matrix.
     A value past the float range raises ValueError naming its angle.
     """
     _check_theta(theta)
@@ -228,7 +255,7 @@ def evaluate_series(seq: CoeffSeq, theta):
         return psi0
     t = np.asarray(theta, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        y = _cos_sum(_cosine_series(seq), t.ravel()).reshape(t.shape)
+        y = _cos_sum(_sum_plan(seq), t.ravel()).reshape(t.shape)
     if psi0 is not None:
         y[at_zero] = psi0
     bad = ~np.isfinite(y)

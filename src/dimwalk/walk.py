@@ -71,6 +71,11 @@ class CoeffSeq:
                 raise ValueError("all values must be finite")
         object.__setattr__(self, "values", vals)
 
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields alone: the arrays ``dimwalk.series`` keeps
+        in ``__dict__`` are rebuilt on first use."""
+        return {"dimension": self.dimension, "values": self.values, "kind": self.kind}
+
     @classmethod
     def exact(cls, dimension: int, values) -> "CoeffSeq":
         return cls(dimension, tuple(values), EXACT)

@@ -1,14 +1,18 @@
 """Series numerics: unit-vector series against scipy's basis functions,
 evaluation vs direct summation and 40-digit sums near the poles, the
-cosine coefficients each sequence keeps (one conversion, no hash, threads),
+arrays each sequence keeps (one conversion and one baby-step matrix, no
+hash, threads, pickling), a frozen digest of series values,
 quadrature rules against textbook values and numpy, extraction round-trips,
 the walk/extraction commutation, membership evidence, the eigenvalue
 wrapper's contract, and Gram positive-definiteness spot checks.
 """
 
+import copy
 import dataclasses
 import gc
+import hashlib
 import math
+import pickle
 import random
 import sys
 import threading
@@ -252,6 +256,88 @@ def test_cosine_series_is_converted_once_per_sequence(monkeypatch):
     del seq
     gc.collect()
     assert ref() is None
+
+
+def test_sum_plan_is_built_once_and_read_only(monkeypatch):
+    # 32 single angles and two arrays on one sequence build one baby-step
+    # matrix, which the sequence keeps, read-only, and which nothing else holds
+    calls, build = [], series._baby_step_matrix
+
+    def counted(a):
+        calls.append(a.size)
+        return build(a)
+
+    monkeypatch.setattr(series, "_baby_step_matrix", counted)
+    seq = CoeffSeq.floats(2, np.linspace(1.0, 0.0, 300).tolist())
+    for t in np.linspace(0.1, 3.0, 32):
+        evaluate_series(seq, t)
+    evaluate_series(seq, np.linspace(0.0, math.pi, 7))
+    evaluate_series(seq, np.linspace(0.2, 2.0, 400).reshape(20, 20))
+    assert calls == [300]
+    with pytest.raises(ValueError):
+        series._sum_plan(seq)[0, 0] = 1.0
+    ref = weakref.ref(seq)
+    del seq
+    gc.collect()
+    assert ref() is None
+
+
+def test_pickling_drops_the_kept_arrays():
+    # an evaluated sequence pickles and copies as its fields alone, and the
+    # copy evaluates bit for bit like the original
+    thetas = np.linspace(0.0, math.pi, 33)
+    for seq, fresh in (
+        (CoeffSeq.floats(2, np.linspace(1.0, 0.0, 2001).tolist()),
+         CoeffSeq.floats(2, np.linspace(1.0, 0.0, 2001).tolist())),
+        (CoeffSeq.exact(5, [Q(1, n + 2) for n in range(40)]),
+         CoeffSeq.exact(5, [Q(1, n + 2) for n in range(40)])),
+    ):
+        want = evaluate_series(seq, thetas)
+        single = evaluate_series(seq, 0.7)
+        assert pickle.dumps(seq) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq), copy.copy(seq)):
+            assert twin == seq and vars(twin) == vars(fresh)
+            assert evaluate_series(twin, thetas).tobytes() == want.tobytes()
+            assert evaluate_series(twin, 0.7).hex() == single.hex()
+
+
+def _series_digest() -> str:
+    """SHA-256 of evaluate_series values by float.hex, at single angles and on
+    arrays of 1, 33 and 300 angles, over d in {1, 2, 3, 5, 17, 2097153} and
+    N in {1, 2, 30, 401, 2001}, for exact and float inputs seeded through
+    random.Random."""
+    singles = (0.0, 1e-8, 0.7, math.pi - 1e-6, math.pi)
+    rnd = random.Random(25)
+    arrays = [np.array([2.5]), np.linspace(0.0, math.pi, 33),
+              np.array([math.pi * rnd.random() for _ in range(300)])]
+    h = hashlib.sha256()
+    for d in (1, 2, 3, 5, 17, 2097153):
+        for n_terms in (1, 2, 30, 401, 2001):
+            rnd = random.Random(1000 * d + n_terms)
+            floats = CoeffSeq.floats(d, [(2 * rnd.random() - 1) / (n + 1) for n in range(n_terms)])
+            exact = CoeffSeq.exact(
+                d, [Q(int(2001 * rnd.random()) - 1000, 1 + int(720 * rnd.random())) for _ in range(n_terms)]
+            )
+            for seq in (floats, exact):
+                values = [evaluate_series(seq, t) for t in singles]
+                for thetas in arrays:
+                    values.extend(evaluate_series(seq, thetas).tolist())
+                h.update(" ".join(map(float.hex, values)).encode())
+    return h.hexdigest()
+
+
+def test_series_outputs_are_bit_identical_to_a_frozen_digest():
+    # the accuracy tests allow a tolerance, so only this test sees a
+    # reordered sum move the last bits of a series value. OpenBLAS picks its
+    # matrix-product kernel by CPU, and the kernel families round the
+    # baby-step product differently: one digest per family, each frozen with
+    # OPENBLAS_CORETYPE set to the first kernel named
+    frozen = {
+        "SkylakeX, CooperLake": "c9ec9f8dc53823c2cf798a1577a248321061614258988c2ce1ce62058f6a5020",
+        "Haswell, Zen": "3d9d330d3a9e0426be49fe9581905a6401c11d9b93874a217c27d6251b578dda",
+        "Sandybridge, Nehalem, Katmai": "91b9983cd61da2bee3579dc5668e7474bebe1a4e1122063d8e905f340d01da12",
+    }
+    assert _series_digest() in frozen.values()
 
 
 def test_evaluate_series_never_hashes_its_sequence(monkeypatch):
