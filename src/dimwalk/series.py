@@ -5,9 +5,9 @@ trapezoid and Gauss-Legendre extraction of expansion coefficients from an
 evaluable correlation model, truncation-level membership evidence, and the
 seeded random-point Gram matrix spot check of positive definiteness.
 
-Everything is pure given (model, seed): the one state, the two arrays a
-sequence keeps once it has been evaluated (its cosine coefficients and their
-baby-step matrix, about 5N doubles, 80 KB at N = 2,001), changes no value.
+Everything is pure given (model, seed): the one state, the array a sequence
+keeps once it has been evaluated (its cosine coefficients as one block of
+about N doubles, 16 KB at N = 2,001), changes no value.
 Per-coefficient extraction work is independent row by row.
 """
 
@@ -151,83 +151,64 @@ def _cosine_coeffs(b: np.ndarray, d: int) -> np.ndarray:
 
 # A chunk of angles is a whole number of 32-row blocks, so no angle falls in a
 # partial row tile of a BLAS kernel, which may round differently. Below about
-# 2,000 terms one matrix product takes at most 2^18 multiply-adds: OpenBLAS
+# 2,000 terms one matrix product takes at most 2^17 multiply-adds: OpenBLAS
 # runs a product that small on one thread, where waking more costs more.
-_CHUNK_BLOCK, _CHUNK_MAX, _MATMUL_MAX = 32, 256, 2**18
+_CHUNK_BLOCK, _CHUNK_MAX, _MATMUL_MAX = 32, 256, 2**17
 
 
-def _baby_step_matrix(a: np.ndarray) -> np.ndarray:
-    """The (2B x 2G) real matrix of ``_cos_sum`` for cosine coefficients a.
-
-    With B = ceil(sqrt(N)) and G = ceil(N/B), coef[q, r] = a_(qB+r) (zero past
-    N) is interleaved so that a row of baby steps z^r as (re, im) pairs times
-    the matrix gives the (Re P_q, -Im P_q) pairs. About 4N doubles.
-    """
-    n_terms = a.size
-    baby = math.isqrt(n_terms - 1) + 1
-    giant = -(-n_terms // baby)
-    coef = np.zeros((giant, baby))
-    coef.flat[:n_terms] = a  # coef[q, r] = a_(qB+r)
-    mat = np.zeros((baby, 2, giant, 2))
-    mat[:, 0, :, 0], mat[:, 1, :, 1] = coef.T, -coef.T
-    return mat.reshape(2 * baby, 2 * giant)
-
-
-def _cos_sum(mat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _cos_sum(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """sum_m a_m cos(m theta) at a flat array of angles, by baby and giant steps,
-    from the ``_baby_step_matrix`` of the a_m.
+    from the (G x B) block coef[q, r] = a_(qB+r) of ``_sum_plan``.
 
     With m = qB + r, B = ceil(sqrt(N)) and z = e^(i theta), the sum is
     Re sum_q z^(qB) P_q with P_q = sum_(r<B) a_(qB+r) z^r. The steps z^r and
     z^(qB) are cumulative products of e^(i theta) and e^(i B theta): no
     trigonometric function per term, and accurate phases near 0 and pi. One
-    real matrix product takes the baby steps, as (re, im) pairs, to
-    (Re P_q, -Im P_q) pairs, which a row-wise dot product with the giant
-    steps sums. Every chunk of angles has one fixed size, the last one
-    padded, so no value depends on where its angle sits in the array. The
-    matrix (about 4N doubles) is kept on the sequence beside its N cosine
-    coefficients, so a call builds only the steps.
+    real matrix product takes the rows Re z^r, then -Im z^r, to Re P_q, then
+    -Im P_q, whose (re, im) pairs a row-wise dot product with the giant steps
+    sums. Every chunk of angles has one fixed size in the product, the last
+    one padded, so no value depends on where its angle sits in the array; the
+    steps and the giant-step sums are taken for the chunk's own angles only.
     """
-    baby, giant = mat.shape[0] // 2, mat.shape[1] // 2
-    blocks = _MATMUL_MAX // (4 * baby * giant * _CHUNK_BLOCK)
+    giant, baby = coef.shape
+    blocks = _MATMUL_MAX // (2 * baby * giant * _CHUNK_BLOCK)
     rows = min(_CHUNK_MAX, _CHUNK_BLOCK * max(1, blocks))
-    phase = np.zeros((2, rows))  # theta and B theta; padding keeps earlier angles
     steps = np.ones((2, rows, baby), dtype=complex)  # z^r and z^(qB) (q < B)
+    parts = np.zeros((2, rows, baby))  # Re z^r and -Im z^r
+    terms = np.empty((rows, giant, 2))  # the (re, im) pairs of the giant-step sum
     out = np.empty(theta.size)
     for start in range(0, theta.size, rows):
         chunk = theta[start : start + rows]
-        phase[0, : chunk.size] = chunk
-        np.multiply(phase[0], baby, out=phase[1])
-        steps[:, :, 1:] = np.exp(1j * phase)[:, :, None]
-        np.cumprod(steps, axis=2, out=steps)
-        p = steps[0].view(float) @ mat
-        psi = (steps[1, :, :giant].view(float) * p).sum(axis=1)
-        out[start : start + rows] = psi[: chunk.size]
+        n = chunk.size  # rows past n only pad the product
+        live = steps[:, :n]
+        live[:, :, 1:] = np.exp(1j * np.multiply.outer((1, baby), chunk))[:, :, None]
+        np.cumprod(live, axis=2, out=live)
+        parts[0, :n] = live[0].real
+        np.negative(live[0].imag, out=parts[1, :n])
+        p = (parts.reshape(2 * rows, baby) @ coef.T).reshape(2, rows, giant)
+        g, t = live[1, :, :giant], terms[:n]
+        np.multiply(g.real, p[0, :n], out=t[:, :, 0])
+        np.multiply(g.imag, p[1, :n], out=t[:, :, 1])
+        out[start : start + n] = t.reshape(n, 2 * giant).sum(axis=1)
     return out
 
 
-def _cosine_series(seq: CoeffSeq) -> np.ndarray:
-    """``_cosine_coeffs`` of a sequence's floats, converted on the first call and
-    kept read-only in the sequence's ``__dict__``, outside its fields: no lookup
-    hashes the values, and the array lives as long as the sequence."""
-    a = seq.__dict__.get("_cosine_series")
-    if a is None:
+def _sum_plan(seq: CoeffSeq) -> np.ndarray:
+    """The ``_cosine_coeffs`` a_m of a sequence's floats as the (G x B) block
+    coef[q, r] = a_(qB+r) of ``_cos_sum``, zero past N, with B = ceil(sqrt(N))
+    and G = ceil(N/B): at most N + B doubles. Built on the first call and kept
+    read-only in the sequence's ``__dict__``, outside its fields: no lookup
+    hashes the values, and the block lives as long as the sequence."""
+    coef = seq.__dict__.get("_sum_plan")
+    if coef is None:
         b = seq.to_floats().values
         a = _cosine_coeffs(np.fromiter(b, float, len(b)), seq.dimension)
-        a.setflags(write=False)
-        seq.__dict__["_cosine_series"] = a
-    return a
-
-
-def _sum_plan(seq: CoeffSeq) -> np.ndarray:
-    """The ``_baby_step_matrix`` of ``_cosine_series(seq)``, about 4N doubles,
-    built on the first call and kept read-only beside the cosine coefficients."""
-    mat = seq.__dict__.get("_sum_plan")
-    if mat is None:
-        mat = _baby_step_matrix(_cosine_series(seq))
-        mat.setflags(write=False)
-        seq.__dict__["_sum_plan"] = mat
-    return mat
+        baby = math.isqrt(a.size - 1) + 1
+        coef = np.zeros((-(-a.size // baby), baby))
+        coef.flat[: a.size] = a
+        coef.setflags(write=False)
+        seq.__dict__["_sum_plan"] = coef
+    return coef
 
 
 def evaluate_series(seq: CoeffSeq, theta):
@@ -240,10 +221,10 @@ def evaluate_series(seq: CoeffSeq, theta):
     steps in e^(i theta) (``_cos_sum``), so a single angle and the same angle
     in an array give the same value bit for bit. Its error is O(N u sum|b_n|)
     at every angle, the poles included, since the cosine weights are positive
-    and no step works in cos(theta). The O(N^2) conversion and the baby-step
-    matrix built from it are paid once per sequence object and kept on it,
-    read-only (about 5N doubles, 80 KB at N = 2,001), so no call hashes the
-    sequence's values or rebuilds the matrix.
+    and no step works in cos(theta). The O(N^2) conversion is paid once per
+    sequence object and its block kept on it, read-only (about N doubles,
+    16 KB at N = 2,001), so no call hashes the sequence's values or converts
+    them again.
     A value past the float range raises ValueError naming its angle.
     """
     _check_theta(theta)

@@ -1,6 +1,6 @@
 """Series numerics: unit-vector series against scipy's basis functions,
 evaluation vs direct summation and 40-digit sums near the poles, the
-arrays each sequence keeps (one conversion and one baby-step matrix, no
+block each sequence keeps (one conversion, at most N + B doubles, no
 hash, threads, pickling), a frozen digest of series values,
 quadrature rules against textbook values and numpy, extraction round-trips,
 the walk/extraction commutation, membership evidence, the eigenvalue
@@ -238,8 +238,8 @@ def test_cosine_weights_of_each_degree_sum_to_one(d, n_terms):
 
 
 def test_cosine_series_is_converted_once_per_sequence(monkeypatch):
-    # 32 single angles on one sequence pay one conversion, which the sequence
-    # keeps, read-only, and which nothing else holds: the sequence is collected
+    # 32 single angles and two arrays on one sequence pay one conversion,
+    # which the sequence keeps and nothing else holds: the sequence is collected
     calls = []
 
     def counted(b, d):
@@ -250,34 +250,33 @@ def test_cosine_series_is_converted_once_per_sequence(monkeypatch):
     seq = CoeffSeq.floats(5, np.linspace(1.0, 0.0, 200).tolist())
     for t in np.linspace(0.1, 3.0, 32):
         evaluate_series(seq, t)
+    evaluate_series(seq, np.linspace(0.0, math.pi, 7))
+    evaluate_series(seq, np.linspace(0.2, 2.0, 400).reshape(20, 20))
     assert calls == [5]
-    assert not series._cosine_series(seq).flags.writeable
     ref = weakref.ref(seq)
     del seq
     gc.collect()
     assert ref() is None
 
 
-def test_sum_plan_is_built_once_and_read_only(monkeypatch):
-    # 32 single angles and two arrays on one sequence build one baby-step
-    # matrix, which the sequence keeps, read-only, and which nothing else holds
-    calls, build = [], series._baby_step_matrix
-
-    def counted(a):
-        calls.append(a.size)
-        return build(a)
-
-    monkeypatch.setattr(series, "_baby_step_matrix", counted)
-    seq = CoeffSeq.floats(2, np.linspace(1.0, 0.0, 300).tolist())
+def test_sum_plan_is_built_once_and_read_only():
+    # the sequence keeps one read-only block of at most N + B doubles beside
+    # its fields, every later call reads that same block, and nothing else
+    # holds it: the sequence is collected
+    seq = CoeffSeq.floats(5, np.linspace(1.0, 0.0, 2001).tolist())
     for t in np.linspace(0.1, 3.0, 32):
         evaluate_series(seq, t)
     evaluate_series(seq, np.linspace(0.0, math.pi, 7))
     evaluate_series(seq, np.linspace(0.2, 2.0, 400).reshape(20, 20))
-    assert calls == [300]
+    fields = {f.name for f in dataclasses.fields(seq)}
+    kept = [v for k, v in vars(seq).items() if k not in fields]
+    assert sum(v.nbytes for v in kept) <= 8 * (2001 + math.isqrt(2000) + 1)
+    (block,) = kept
+    assert series._sum_plan(seq) is block
     with pytest.raises(ValueError):
-        series._sum_plan(seq)[0, 0] = 1.0
+        block.flat[0] = 1.0
     ref = weakref.ref(seq)
-    del seq
+    del seq, kept, block
     gc.collect()
     assert ref() is None
 
@@ -331,10 +330,10 @@ def test_series_outputs_are_bit_identical_to_a_frozen_digest():
     # reordered sum move the last bits of a series value. OpenBLAS picks its
     # matrix-product kernel by CPU, and the kernel families round the
     # baby-step product differently: one digest per family, each frozen with
-    # OPENBLAS_CORETYPE set to the first kernel named
+    # OPENBLAS_CORETYPE set to the first kernel named. The SkylakeX and
+    # Haswell families share one digest
     frozen = {
-        "SkylakeX, CooperLake": "c9ec9f8dc53823c2cf798a1577a248321061614258988c2ce1ce62058f6a5020",
-        "Haswell, Zen": "3d9d330d3a9e0426be49fe9581905a6401c11d9b93874a217c27d6251b578dda",
+        "SkylakeX, CooperLake, Haswell, Zen": "930709ffe9fe0f5c90851bd5c54b4c08c4be45cf529e208e2f33a0dfff04ac2d",
         "Sandybridge, Nehalem, Katmai": "91b9983cd61da2bee3579dc5668e7474bebe1a4e1122063d8e905f340d01da12",
     }
     assert _series_digest() in frozen.values()
